@@ -7,7 +7,7 @@
  * Each "thread" is a preemptible function that counts; the scheduler
  * launches them once and then keeps resuming whichever was preempted,
  * round-robin, until everyone finished. Preemption is delivered by
- * LibUtimer (UINTR on Sapphire Rapids, signal fallback elsewhere), so
+ * LibUtimer by directed signal (the paper's non-UINTR path), so
  * even the never-yielding counting loops cannot monopolise the worker.
  *
  *   ./quickstart [--threads=4] [--quantum-ms=2] [--work-ms=20]
@@ -85,10 +85,9 @@ main(int argc, char **argv)
                     nsToMs(progress[static_cast<std::size_t>(i)]));
     }
     std::printf("all %d threads completed after %d resume rounds; "
-                "timer fired %llu preemptions (%s delivery)\n",
+                "timer fired %llu preemptions (signal delivery)\n",
                 n_threads, rounds,
-                static_cast<unsigned long long>(timer.firesTotal()),
-                timer.usingUintr() ? "UINTR" : "signal");
+                static_cast<unsigned long long>(timer.firesTotal()));
 
     workerShutdown();
     timer.shutdown();

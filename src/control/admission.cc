@@ -340,7 +340,7 @@ AdmissionController::attachPublisher(obs::TelemetryPublisher *publisher)
     // exported below land in the snapshot being built.
     samplerId_ = obs::registerTelemetrySampler(
         [this](obs::MetricsRegistry &registry) {
-            onSnapshot(publisher_->snapshot());
+            onSnapshot(*publisher_->snapshot());
             exportMetrics(registry);
         });
 }

@@ -4,18 +4,20 @@
 
 #include <algorithm>
 #include <arpa/inet.h>
-#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstring>
 #include <ctime>
+#include <deque>
 #include <fstream>
 #include <locale>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sstream>
+#include <string_view>
 #include <sys/socket.h>
 #include <unistd.h>
+#include <unordered_map>
 
 #include "common/logging.hh"
 
@@ -116,20 +118,50 @@ hashTimer(Fnv &h, const TelemetrySnapshot::TimerSample &t)
     h.u64(t.windowed ? 1 : 0);
 }
 
+// ----- span parts ---------------------------------------------------
+
+using TenantSpans = TelemetrySnapshot::TenantSpans;
+
+/**
+ * The five delay parts of a tenant's span breakdown, in schema order:
+ * each part's name and where it lives in the lifetime breakdown, the
+ * window breakdown and the collector's stats. Sampling, hashing and
+ * both renderers walk this one table.
+ */
+struct SpanPart
+{
+    const char *name;
+    TelemetrySnapshot::TimerSample TenantSpans::*life;
+    TelemetrySnapshot::TimerStats TenantSpans::Window::*window;
+    LatencyHistogram SpanCollector::TenantStats::*hist;
+};
+
+constexpr SpanPart kSpanParts[] = {
+    {"queued", &TenantSpans::queued, &TenantSpans::Window::queued,
+     &SpanCollector::TenantStats::queued},
+    {"running", &TenantSpans::running, &TenantSpans::Window::running,
+     &SpanCollector::TenantStats::running},
+    {"preempted", &TenantSpans::preempted,
+     &TenantSpans::Window::preempted,
+     &SpanCollector::TenantStats::preempted},
+    {"timer_lag", &TenantSpans::timerLag, &TenantSpans::Window::timerLag,
+     &SpanCollector::TenantStats::timerLag},
+    {"total", &TenantSpans::total, &TenantSpans::Window::total,
+     &SpanCollector::TenantStats::total},
+};
+
+TelemetrySnapshot::TimerSample
+sampleTimer(const std::string &name, const LatencyHistogram &h)
+{
+    TelemetrySnapshot::TimerSample t;
+    static_cast<TelemetrySnapshot::TimerStats &>(t) = HistStats::of(h);
+    t.name = name;
+    return t;
+}
+
 // ----- rendering helpers --------------------------------------------
 
-/** Locale-pinned fixed-precision double (byte-stable output). */
-std::string
-num(double v)
-{
-    if (!(v == v) || v > 1e300 || v < -1e300) // NaN / inf
-        return "0";
-    std::ostringstream os;
-    os.imbue(std::locale::classic());
-    os.precision(6);
-    os << std::fixed << v;
-    return os.str();
-}
+using fmt::num;
 
 /**
  * Split a metric name into a Prometheus-safe base name and labels.
@@ -141,7 +173,7 @@ num(double v)
 struct PromName
 {
     std::string base;
-    std::string labels; ///< rendered "{a=\"1\",b=\"2\"}" or ""
+    std::string labels; ///< bare "a=\"1\",b=\"2\"" or ""
 };
 
 std::string
@@ -159,25 +191,6 @@ sanitize(const std::string &s)
     return out;
 }
 
-/** Label VALUES allow any UTF-8; only escape per the exposition
- *  format (backslash, double quote, newline). */
-std::string
-labelEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '\\' || c == '"')
-            out.push_back('\\');
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
-}
-
 PromName
 promName(const std::string &name)
 {
@@ -187,21 +200,13 @@ promName(const std::string &name)
     if (slash == std::string::npos)
         return out;
 
-    std::string labels;
-    std::string suffix = name.substr(slash + 1);
-    std::size_t pos = 0;
-    while (pos <= suffix.size()) {
-        auto dot = suffix.find('.', pos);
-        std::string seg = suffix.substr(
-            pos, dot == std::string::npos ? std::string::npos
-                                          : dot - pos);
-        pos = dot == std::string::npos ? suffix.size() + 1 : dot + 1;
+    std::istringstream segments(name.substr(slash + 1));
+    std::string seg;
+    while (std::getline(segments, seg, '.')) {
         if (seg.empty())
             continue;
-        std::size_t d = seg.size();
-        while (d > 0 &&
-               std::isdigit(static_cast<unsigned char>(seg[d - 1])))
-            --d;
+        // npos + 1 == 0: an all-digit segment has an empty key.
+        std::size_t d = seg.find_last_not_of("0123456789") + 1;
         std::string key = seg.substr(0, d);
         std::string val = seg.substr(d);
         if (key.empty() || val.empty()) {
@@ -212,108 +217,103 @@ promName(const std::string &name)
         } else if (key == "w") {
             key = "worker";
         }
-        if (!labels.empty())
-            labels += ",";
-        labels += sanitize(key) + "=\"" + labelEscape(val) + "\"";
+        if (!out.labels.empty())
+            out.labels += ",";
+        out.labels += sanitize(key) + "=\"" + fmt::escape(val) + "\"";
     }
-    if (!labels.empty())
-        out.labels = "{" + labels + "}";
     return out;
 }
 
-void
-promSummary(std::ostringstream &os, const std::string &base,
-            const std::string &extraLabel,
+/**
+ * Prometheus text grouped by family: each family gets exactly one
+ * `# TYPE` line followed by all of its samples, families in the order
+ * first seen. A metric with several label sets (one per worker, core
+ * or tenant) thus stays one contiguous family, as the exposition
+ * format requires.
+ */
+class PromWriter
+{
+  public:
+    /** One sample `name{labels} value`; @p labels is bare or "". */
+    template <typename V>
+    void
+    sample(const std::string &name, const char *type,
+           const std::string &labels, const V &value)
+    {
+        family(name, type) << name << braced(labels) << ' ' << value
+                           << '\n';
+    }
+
+    /** A summary family: four quantile samples, _sum and _count. */
+    void
+    summary(const std::string &base, const std::string &labels,
             const TelemetrySnapshot::TimerStats &t)
-{
-    auto line = [&](const char *q, std::uint64_t v) {
-        os << base << '{';
-        if (!extraLabel.empty())
-            os << extraLabel << ',';
-        os << "quantile=\"" << q << "\"} " << v << '\n';
+    {
+        std::ostream &os = family(base, "summary");
+        std::string pre = labels.empty() ? "{" : "{" + labels + ",";
+        for (auto [q, v] : {std::pair{"0.5", t.p50}, {"0.9", t.p90},
+                            {"0.99", t.p99}, {"0.999", t.p999}})
+            os << base << pre << "quantile=\"" << q << "\"} " << v
+               << '\n';
+        os << base << "_sum" << braced(labels) << ' '
+           << num(t.mean * static_cast<double>(t.count)) << '\n';
+        os << base << "_count" << braced(labels) << ' ' << t.count
+           << '\n';
+    }
+
+    std::string
+    str() const
+    {
+        std::string out;
+        for (const Family &f : families_)
+            out += "# TYPE " + f.name + ' ' + f.type + '\n' +
+                   f.body.str();
+        return out;
+    }
+
+  private:
+    struct Family
+    {
+        std::string name;
+        const char *type = "";
+        std::ostringstream body;
     };
-    os << "# TYPE " << base << " summary\n";
-    line("0.5", t.p50);
-    line("0.9", t.p90);
-    line("0.99", t.p99);
-    line("0.999", t.p999);
-    std::string curly =
-        extraLabel.empty() ? "" : "{" + extraLabel + "}";
-    os << base << "_sum" << curly << ' '
-       << num(t.mean * static_cast<double>(t.count)) << '\n';
-    os << base << "_count" << curly << ' ' << t.count << '\n';
-}
 
-void
-jsonStatsBody(std::ostringstream &os,
-              const TelemetrySnapshot::TimerStats &t)
-{
-    os << "\"count\": " << t.count << ", \"min\": " << t.min
-       << ", \"max\": " << t.max << ", \"mean\": " << num(t.mean)
-       << ", \"p50\": " << t.p50 << ", \"p90\": " << t.p90
-       << ", \"p99\": " << t.p99 << ", \"p999\": " << t.p999;
-}
+    static std::string
+    braced(const std::string &labels)
+    {
+        return labels.empty() ? "" : "{" + labels + "}";
+    }
 
-void
-jsonStats(std::ostringstream &os,
-          const TelemetrySnapshot::TimerStats &t)
-{
-    os << "{";
-    jsonStatsBody(os, t);
-    os << "}";
-}
+    std::ostream &
+    family(const std::string &name, const char *type)
+    {
+        auto [it, fresh] = index_.try_emplace(name, families_.size());
+        if (fresh) {
+            Family &f = families_.emplace_back();
+            f.name = name;
+            f.type = type;
+            f.body.imbue(std::locale::classic());
+        }
+        return families_[it->second].body;
+    }
+
+    std::deque<Family> families_; ///< deque: bodies never move
+    std::unordered_map<std::string, std::size_t> index_;
+};
 
 /** Lifetime stats plus, when windowing is on, a nested "window"
  *  object with the last-W aggregate. */
 void
-jsonTimer(std::ostringstream &os,
-          const TelemetrySnapshot::TimerSample &t)
+jsonTimer(std::ostream &os, const TelemetrySnapshot::TimerSample &t)
 {
-    os << "{";
-    jsonStatsBody(os, t);
+    os << '{';
+    fmt::jsonStatsFields(os, t);
     if (t.windowed) {
         os << ", \"window\": ";
-        jsonStats(os, t.window);
+        fmt::jsonStats(os, t.window);
     }
-    os << "}";
-}
-
-/** JSON string escaping for metric names (quotes/backslashes). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-TelemetrySnapshot::TimerStats
-sampleStats(const LatencyHistogram &h)
-{
-    TelemetrySnapshot::TimerStats t;
-    t.count = h.count();
-    t.min = h.min();
-    t.max = h.max();
-    t.mean = h.mean();
-    t.p50 = h.p50();
-    t.p90 = h.p90();
-    t.p99 = h.p99();
-    t.p999 = h.p999();
-    return t;
-}
-
-TelemetrySnapshot::TimerSample
-sampleTimer(const std::string &name, const LatencyHistogram &h)
-{
-    TelemetrySnapshot::TimerSample t;
-    static_cast<TelemetrySnapshot::TimerStats &>(t) = sampleStats(h);
-    t.name = name;
-    return t;
+    os << '}';
 }
 
 } // namespace
@@ -355,19 +355,13 @@ TelemetrySnapshot::computeChecksum() const
         h.u64(t.completed);
         h.u64(t.cancelled);
         h.u64(t.violations);
-        hashTimer(h, t.queued);
-        hashTimer(h, t.running);
-        hashTimer(h, t.preempted);
-        hashTimer(h, t.timerLag);
-        hashTimer(h, t.total);
+        for (const SpanPart &p : kSpanParts)
+            hashTimer(h, t.*p.life);
         h.u64(t.window.completed);
         h.u64(t.window.cancelled);
         h.u64(t.window.violations);
-        hashStats(h, t.window.queued);
-        hashStats(h, t.window.running);
-        hashStats(h, t.window.preempted);
-        hashStats(h, t.window.timerLag);
-        hashStats(h, t.window.total);
+        for (const SpanPart &p : kSpanParts)
+            hashStats(h, t.window.*p.window);
     }
     h.u64(spanInvariantViolations);
     h.u64(spanAnomalies);
@@ -379,121 +373,71 @@ TelemetrySnapshot::computeChecksum() const
 std::string
 renderPrometheus(const TelemetrySnapshot &snap)
 {
-    std::ostringstream os;
-    os.imbue(std::locale::classic());
-
-    os << "# TYPE preempt_up gauge\n"
-       << "preempt_up 1\n"
-       << "# TYPE preempt_telemetry_snapshots_total counter\n"
-       << "preempt_telemetry_snapshots_total " << snap.seq << '\n'
-       << "# TYPE preempt_telemetry_uptime_seconds gauge\n"
-       << "preempt_telemetry_uptime_seconds " << num(snap.uptimeSec)
-       << '\n'
-       << "# TYPE preempt_telemetry_window_seconds gauge\n"
-       << "preempt_telemetry_window_seconds " << num(snap.windowSec)
-       << '\n'
-       << "# TYPE preempt_telemetry_window_epochs gauge\n"
-       << "preempt_telemetry_window_epochs " << snap.windowEpochs
-       << '\n';
+    PromWriter w;
+    w.sample("preempt_up", "gauge", "", 1);
+    w.sample("preempt_telemetry_snapshots_total", "counter", "",
+             snap.seq);
+    w.sample("preempt_telemetry_uptime_seconds", "gauge", "",
+             num(snap.uptimeSec));
+    w.sample("preempt_telemetry_window_seconds", "gauge", "",
+             num(snap.windowSec));
+    w.sample("preempt_telemetry_window_epochs", "gauge", "",
+             snap.windowEpochs);
 
     for (const auto &c : snap.counters) {
         PromName p = promName(c.name);
-        std::string base = p.base;
-        if (base.size() < 6 ||
-            base.compare(base.size() - 6, 6, "_total") != 0)
-            base += "_total";
-        os << "# TYPE " << base << " counter\n"
-           << base << p.labels << ' ' << c.value << '\n';
-        os << "# TYPE " << p.base << "_rate gauge\n"
-           << p.base << "_rate" << p.labels << ' ' << num(c.ratePerSec)
-           << '\n';
-        os << "# TYPE " << p.base << "_rate_window gauge\n"
-           << p.base << "_rate_window" << p.labels << ' '
-           << num(c.windowRatePerSec) << '\n';
-        os << "# TYPE " << p.base << "_resets_total counter\n"
-           << p.base << "_resets_total" << p.labels << ' ' << c.resets
-           << '\n';
+        bool suffixed = std::string_view(p.base).ends_with("_total");
+        w.sample(suffixed ? p.base : p.base + "_total", "counter",
+                 p.labels, c.value);
+        w.sample(p.base + "_rate", "gauge", p.labels, num(c.ratePerSec));
+        w.sample(p.base + "_rate_window", "gauge", p.labels,
+                 num(c.windowRatePerSec));
+        w.sample(p.base + "_resets_total", "counter", p.labels,
+                 c.resets);
     }
     for (const auto &g : snap.gauges) {
         PromName p = promName(g.name);
-        os << "# TYPE " << p.base << " gauge\n"
-           << p.base << p.labels << ' ' << g.value << '\n';
-        os << "# TYPE " << p.base << "_watermark gauge\n"
-           << p.base << "_watermark" << p.labels << ' ' << g.watermark
-           << '\n';
-        os << "# TYPE " << p.base << "_watermark_window gauge\n"
-           << p.base << "_watermark_window" << p.labels << ' '
-           << g.windowWatermark << '\n';
+        w.sample(p.base, "gauge", p.labels, g.value);
+        w.sample(p.base + "_watermark", "gauge", p.labels, g.watermark);
+        w.sample(p.base + "_watermark_window", "gauge", p.labels,
+                 g.windowWatermark);
     }
     for (const auto &t : snap.timers) {
         PromName p = promName(t.name);
-        std::string label = p.labels.empty()
-                                ? ""
-                                : p.labels.substr(1, p.labels.size() - 2);
-        promSummary(os, p.base, label, t);
+        w.summary(p.base, p.labels, t);
         if (t.windowed)
-            promSummary(os, p.base + "_window", label, t.window);
+            w.summary(p.base + "_window", p.labels, t.window);
     }
 
-    if (!snap.spans.empty()) {
-        os << "# TYPE preempt_spans_completed_total counter\n";
-        for (const auto &t : snap.spans)
-            os << "preempt_spans_completed_total{tenant=\"" << t.tenant
-               << "\"} " << t.completed << '\n';
-        os << "# TYPE preempt_spans_cancelled_total counter\n";
-        for (const auto &t : snap.spans)
-            os << "preempt_spans_cancelled_total{tenant=\"" << t.tenant
-               << "\"} " << t.cancelled << '\n';
-        os << "# TYPE preempt_spans_slo_violations_total counter\n";
-        for (const auto &t : snap.spans)
-            os << "preempt_spans_slo_violations_total{tenant=\""
-               << t.tenant << "\"} " << t.violations << '\n';
-        for (const auto &t : snap.spans) {
-            std::string tenant =
-                "tenant=\"" + std::to_string(t.tenant) + "\"";
-            promSummary(os, "preempt_spans_queued_ns", tenant, t.queued);
-            promSummary(os, "preempt_spans_running_ns", tenant,
-                        t.running);
-            promSummary(os, "preempt_spans_preempted_ns", tenant,
-                        t.preempted);
-            promSummary(os, "preempt_spans_timer_lag_ns", tenant,
-                        t.timerLag);
-            promSummary(os, "preempt_spans_total_ns", tenant, t.total);
-        }
-        os << "# TYPE preempt_spans_completed_window gauge\n";
-        for (const auto &t : snap.spans)
-            os << "preempt_spans_completed_window{tenant=\"" << t.tenant
-               << "\"} " << t.window.completed << '\n';
-        os << "# TYPE preempt_spans_cancelled_window gauge\n";
-        for (const auto &t : snap.spans)
-            os << "preempt_spans_cancelled_window{tenant=\"" << t.tenant
-               << "\"} " << t.window.cancelled << '\n';
-        os << "# TYPE preempt_spans_slo_violations_window gauge\n";
-        for (const auto &t : snap.spans)
-            os << "preempt_spans_slo_violations_window{tenant=\""
-               << t.tenant << "\"} " << t.window.violations << '\n';
-        for (const auto &t : snap.spans) {
-            std::string tenant =
-                "tenant=\"" + std::to_string(t.tenant) + "\"";
-            promSummary(os, "preempt_spans_queued_ns_window", tenant,
-                        t.window.queued);
-            promSummary(os, "preempt_spans_running_ns_window", tenant,
-                        t.window.running);
-            promSummary(os, "preempt_spans_preempted_ns_window", tenant,
-                        t.window.preempted);
-            promSummary(os, "preempt_spans_timer_lag_ns_window", tenant,
-                        t.window.timerLag);
-            promSummary(os, "preempt_spans_total_ns_window", tenant,
-                        t.window.total);
-        }
-        os << "# TYPE preempt_spans_invariant_violations_total counter\n"
-           << "preempt_spans_invariant_violations_total "
-           << snap.spanInvariantViolations << '\n'
-           << "# TYPE preempt_spans_anomalies_total counter\n"
-           << "preempt_spans_anomalies_total " << snap.spanAnomalies
-           << '\n';
+    for (const auto &t : snap.spans) {
+        std::string tenant = "tenant=\"" + std::to_string(t.tenant) + "\"";
+        w.sample("preempt_spans_completed_total", "counter", tenant,
+                 t.completed);
+        w.sample("preempt_spans_cancelled_total", "counter", tenant,
+                 t.cancelled);
+        w.sample("preempt_spans_slo_violations_total", "counter", tenant,
+                 t.violations);
+        for (const SpanPart &p : kSpanParts)
+            w.summary(std::string("preempt_spans_") + p.name + "_ns",
+                      tenant, t.*p.life);
+        w.sample("preempt_spans_completed_window", "gauge", tenant,
+                 t.window.completed);
+        w.sample("preempt_spans_cancelled_window", "gauge", tenant,
+                 t.window.cancelled);
+        w.sample("preempt_spans_slo_violations_window", "gauge", tenant,
+                 t.window.violations);
+        for (const SpanPart &p : kSpanParts)
+            w.summary(std::string("preempt_spans_") + p.name +
+                          "_ns_window",
+                      tenant, t.window.*p.window);
     }
-    return os.str();
+    if (!snap.spans.empty()) {
+        w.sample("preempt_spans_invariant_violations_total", "counter",
+                 "", snap.spanInvariantViolations);
+        w.sample("preempt_spans_anomalies_total", "counter", "",
+                 snap.spanAnomalies);
+    }
+    return w.str();
 }
 
 std::string
@@ -513,77 +457,58 @@ renderTelemetryJson(const TelemetrySnapshot &snap)
     os << "  \"checksum\": \"" << std::hex << snap.checksum << std::dec
        << "\",\n";
 
-    os << "  \"counters\": {";
-    bool first = true;
-    for (const auto &c : snap.counters) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(c.name)
-           << "\": {\"value\": " << c.value << ", \"rate_per_sec\": "
+    // One "section": {"name": {...}, ...} object per metric kind.
+    auto section = [&os](const char *name, const auto &items,
+                         auto &&entry) {
+        os << "  \"" << name << "\": {";
+        const char *sep = "\n";
+        for (const auto &item : items) {
+            os << sep << "    \"" << fmt::escape(item.name) << "\": ";
+            entry(item);
+            sep = ",\n";
+        }
+        os << (items.empty() ? "},\n" : "\n  },\n");
+    };
+    section("counters", snap.counters, [&os](const auto &c) {
+        os << "{\"value\": " << c.value << ", \"rate_per_sec\": "
            << num(c.ratePerSec) << ", \"window_rate_per_sec\": "
            << num(c.windowRatePerSec) << ", \"resets\": " << c.resets
            << "}";
-        first = false;
-    }
-    os << (first ? "},\n" : "\n  },\n");
-
-    os << "  \"gauges\": {";
-    first = true;
-    for (const auto &g : snap.gauges) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(g.name)
-           << "\": {\"value\": " << g.value << ", \"watermark\": "
+    });
+    section("gauges", snap.gauges, [&os](const auto &g) {
+        os << "{\"value\": " << g.value << ", \"watermark\": "
            << g.watermark << ", \"window_watermark\": "
            << g.windowWatermark << "}";
-        first = false;
-    }
-    os << (first ? "},\n" : "\n  },\n");
-
-    os << "  \"timers\": {";
-    first = true;
-    for (const auto &t : snap.timers) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(t.name)
-           << "\": ";
-        jsonTimer(os, t);
-        first = false;
-    }
-    os << (first ? "},\n" : "\n  },\n");
+    });
+    section("timers", snap.timers,
+            [&os](const auto &t) { jsonTimer(os, t); });
 
     os << "  \"spans\": {\n";
     os << "    \"invariant_violations\": " << snap.spanInvariantViolations
        << ",\n";
     os << "    \"anomalies\": " << snap.spanAnomalies << ",\n";
     os << "    \"tenants\": {";
-    first = true;
+    const char *sep = "\n";
     for (const auto &t : snap.spans) {
-        os << (first ? "\n" : ",\n") << "      \"" << t.tenant
+        os << sep << "      \"" << t.tenant
            << "\": {\"completed\": " << t.completed
            << ", \"cancelled\": " << t.cancelled
            << ", \"violations\": " << t.violations;
-        auto field = [&](const char *name,
-                         const TelemetrySnapshot::TimerSample &s) {
-            os << ", \"" << name << "\": ";
-            jsonTimer(os, s);
-        };
-        field("queued", t.queued);
-        field("running", t.running);
-        field("preempted", t.preempted);
-        field("timer_lag", t.timerLag);
-        field("total", t.total);
+        for (const SpanPart &p : kSpanParts) {
+            os << ", \"" << p.name << "\": ";
+            jsonTimer(os, t.*p.life);
+        }
         os << ", \"window\": {\"completed\": " << t.window.completed
            << ", \"cancelled\": " << t.window.cancelled
            << ", \"violations\": " << t.window.violations;
-        auto wfield = [&](const char *name,
-                          const TelemetrySnapshot::TimerStats &s) {
-            os << ", \"" << name << "\": ";
-            jsonStats(os, s);
-        };
-        wfield("queued", t.window.queued);
-        wfield("running", t.window.running);
-        wfield("preempted", t.window.preempted);
-        wfield("timer_lag", t.window.timerLag);
-        wfield("total", t.window.total);
+        for (const SpanPart &p : kSpanParts) {
+            os << ", \"" << p.name << "\": ";
+            fmt::jsonStats(os, t.window.*p.window);
+        }
         os << "}}";
-        first = false;
+        sep = ",\n";
     }
-    os << (first ? "}\n" : "\n    }\n");
+    os << (snap.spans.empty() ? "}\n" : "\n    }\n");
     os << "  }\n";
     os << "}\n";
     return os.str();
@@ -608,12 +533,8 @@ unregisterTelemetrySampler(std::uint64_t id)
     // Taking the mutex also waits out a concurrently running pass, so
     // after return the sampler can never run again.
     std::lock_guard<std::mutex> lock(g_samplerMutex);
-    for (auto it = g_samplers.begin(); it != g_samplers.end(); ++it) {
-        if (it->id == id) {
-            g_samplers.erase(it);
-            return;
-        }
-    }
+    std::erase_if(g_samplers,
+                  [id](const SamplerEntry &s) { return s.id == id; });
 }
 
 // ----- stat tracker -------------------------------------------------
@@ -669,42 +590,24 @@ StatTracker::counter(const std::string &name, std::uint64_t value)
 StatTracker::GaugeStats
 StatTracker::gauge(const std::string &name, std::int64_t value)
 {
-    GaugeStats out;
     GaugeState &st = gauges_[name];
-    if (st.ring.empty())
-        st.watermark = value;
+    st.watermark = st.ring.empty() ? value : std::max(st.watermark, value);
     st.lastTick = tick_;
-    if (value > st.watermark)
-        st.watermark = value;
-    if (st.ring.size() < epochs_) {
-        st.ring.push_back(value);
-    } else {
-        st.ring[st.head] = value;
-        st.head = (st.head + 1) % epochs_;
-    }
-    std::int64_t wm = st.ring.front();
-    for (std::int64_t v : st.ring)
-        wm = std::max(wm, v);
-    out.watermark = st.watermark;
-    out.windowWatermark = wm;
-    return out;
+    st.ring.push_back(value);
+    if (st.ring.size() > epochs_)
+        st.ring.erase(st.ring.begin());
+    return {st.watermark,
+            *std::max_element(st.ring.begin(), st.ring.end())};
 }
 
 void
 StatTracker::endTick()
 {
-    for (auto it = counters_.begin(); it != counters_.end();) {
-        if (it->second.lastTick != tick_)
-            it = counters_.erase(it);
-        else
-            ++it;
-    }
-    for (auto it = gauges_.begin(); it != gauges_.end();) {
-        if (it->second.lastTick != tick_)
-            it = gauges_.erase(it);
-        else
-            ++it;
-    }
+    auto stale = [this](const auto &kv) {
+        return kv.second.lastTick != tick_;
+    };
+    std::erase_if(counters_, stale);
+    std::erase_if(gauges_, stale);
 }
 
 // ----- publisher ----------------------------------------------------
@@ -720,12 +623,8 @@ epochsFor(const TelemetryPublisher::Options &o)
     TimeNs window = o.window != 0 ? o.window : 10 * o.interval;
     double k = static_cast<double>(window) /
                static_cast<double>(o.interval);
-    auto epochs = static_cast<std::size_t>(k + 0.5);
-    if (epochs < 1)
-        epochs = 1;
-    if (epochs > 512)
-        epochs = 512;
-    return epochs;
+    return std::clamp<std::size_t>(static_cast<std::size_t>(k + 0.5), 1,
+                                   512);
 }
 
 } // namespace
@@ -734,17 +633,22 @@ TelemetryPublisher::TelemetryPublisher(MetricsRegistry *registry,
                                        SpanCollector *spans,
                                        Options options)
     : registry_(registry), spans_(spans), options_(std::move(options)),
-      tracker_(epochsFor(options_)), windowEpochs_(epochsFor(options_))
+      tracker_(epochsFor(options_))
 {
     fatal_if(options_.interval <= 0,
              "telemetry interval must be positive");
     if (registry_)
-        registry_->enableWindows(windowEpochs_);
+        registry_->enableWindows(windowEpochs());
     if (spans_)
-        spans_->setWindowEpochs(windowEpochs_);
+        spans_->setWindowEpochs(windowEpochs());
     // Baseline for uptime even when only tickNow() is used (tests,
     // final flush) and start() never runs.
     startedAt_ = clockNs(CLOCK_MONOTONIC);
+    // Before the first tick readers get an empty seq-0 snapshot whose
+    // checksum verifies like any other.
+    auto empty = std::make_shared<TelemetrySnapshot>();
+    empty->checksum = empty->computeChecksum();
+    current_ = std::move(empty);
 }
 
 TelemetryPublisher::~TelemetryPublisher()
@@ -824,14 +728,14 @@ TelemetryPublisher::publisherLoop()
         wantDump |= g_sigDumpRequested.exchange(
             false, std::memory_order_relaxed);
         if (wantDump && !options_.dumpPath.empty())
-            writeDump(snapshot());
+            writeDump(*snapshot());
     }
     // Final tick so short-lived runs publish at least one snapshot.
     tickNow();
     if (!options_.dumpPath.empty() &&
         (dumpRequested_.load(std::memory_order_acquire) ||
          g_sigDumpRequested.exchange(false, std::memory_order_relaxed)))
-        writeDump(snapshot());
+        writeDump(*snapshot());
 }
 
 void
@@ -844,22 +748,21 @@ TelemetryPublisher::tickNow()
 void
 TelemetryPublisher::buildAndPublish()
 {
-    // Serialised by tickMutex_ (the only writer path).
-    std::uint64_t cur = seq_.load(std::memory_order_relaxed);
-    std::uint64_t nextIdx = (cur + 1) & 1;
-
+    // Serialised by tickMutex_ (the only writer path): this thread is
+    // the only one that replaces current_, so seq rises by one with
+    // every swap and no reader can see it go backwards.
     std::uint64_t mono = clockNs(CLOCK_MONOTONIC);
 
     TelemetrySnapshot snap;
-    snap.seq = cur + 1;
+    snap.seq = current_->seq + 1;
     snap.wallNs = clockNs(CLOCK_REALTIME);
     snap.monoNs = mono;
     snap.uptimeSec =
         static_cast<double>(mono - startedAt_) / 1e9;
     snap.intervalSec = static_cast<double>(options_.interval) / 1e9;
-    snap.windowEpochs = windowEpochs_;
+    snap.windowEpochs = windowEpochs();
     snap.windowSec =
-        snap.intervalSec * static_cast<double>(windowEpochs_);
+        snap.intervalSec * static_cast<double>(windowEpochs());
 
     if (registry_) {
         runSamplers(*registry_);
@@ -867,25 +770,15 @@ TelemetryPublisher::buildAndPublish()
         tracker_.beginTick(mono);
         snap.counters.reserve(values.counters.size());
         for (auto &[name, value] : values.counters) {
-            TelemetrySnapshot::CounterSample c;
-            c.name = name;
-            c.value = value;
             StatTracker::CounterStats s = tracker_.counter(name, value);
-            c.ratePerSec = s.ratePerSec;
-            c.windowRatePerSec = s.windowRatePerSec;
-            c.resets = s.resets;
-            snap.counters.push_back(std::move(c));
+            snap.counters.push_back({name, value, s.ratePerSec,
+                                     s.windowRatePerSec, s.resets});
         }
-
         snap.gauges.reserve(values.gauges.size());
         for (auto &[name, value] : values.gauges) {
-            TelemetrySnapshot::GaugeSample g;
-            g.name = name;
-            g.value = value;
             StatTracker::GaugeStats s = tracker_.gauge(name, value);
-            g.watermark = s.watermark;
-            g.windowWatermark = s.windowWatermark;
-            snap.gauges.push_back(std::move(g));
+            snap.gauges.push_back(
+                {name, value, s.watermark, s.windowWatermark});
         }
         tracker_.endTick();
 
@@ -895,7 +788,7 @@ TelemetryPublisher::buildAndPublish()
                 sampleTimer(tv.name, tv.hist);
             t.windowed = tv.windowed;
             if (tv.windowed)
-                t.window = sampleStats(tv.window);
+                t.window = HistStats::of(tv.window);
             snap.timers.push_back(std::move(t));
         }
     }
@@ -905,27 +798,21 @@ TelemetryPublisher::buildAndPublish()
         auto windows = spans_->tenantWindowStats();
         snap.spans.reserve(tenants.size());
         for (const auto &[tenant, stats] : tenants) {
-            TelemetrySnapshot::TenantSpans t;
+            TenantSpans t;
             t.tenant = tenant;
             t.completed = stats.completed;
             t.cancelled = stats.cancelled;
             t.violations = stats.violations;
-            t.queued = sampleTimer("queued", stats.queued);
-            t.running = sampleTimer("running", stats.running);
-            t.preempted = sampleTimer("preempted", stats.preempted);
-            t.timerLag = sampleTimer("timer_lag", stats.timerLag);
-            t.total = sampleTimer("total", stats.total);
             auto wit = windows.find(tenant);
             if (wit != windows.end()) {
-                const SpanCollector::TenantStats &w = wit->second;
-                t.window.completed = w.completed;
-                t.window.cancelled = w.cancelled;
-                t.window.violations = w.violations;
-                t.window.queued = sampleStats(w.queued);
-                t.window.running = sampleStats(w.running);
-                t.window.preempted = sampleStats(w.preempted);
-                t.window.timerLag = sampleStats(w.timerLag);
-                t.window.total = sampleStats(w.total);
+                t.window.completed = wit->second.completed;
+                t.window.cancelled = wit->second.cancelled;
+                t.window.violations = wit->second.violations;
+            }
+            for (const SpanPart &p : kSpanParts) {
+                t.*p.life = sampleTimer(p.name, stats.*p.hist);
+                if (wit != windows.end())
+                    t.window.*p.window = HistStats::of(wit->second.*p.hist);
             }
             snap.spans.push_back(std::move(t));
         }
@@ -942,27 +829,19 @@ TelemetryPublisher::buildAndPublish()
     if (spans_)
         spans_->rotateWindows();
 
-    // Double buffer: fill the back buffer under its mutex, then flip.
-    // A reader that loaded the old index may still be copying the
-    // *other* buffer; the next publish (one full interval later) would
-    // briefly wait on it — readers never tear and never block this
-    // publish.
-    {
-        std::lock_guard<std::mutex> lock(bufMutex_[nextIdx]);
-        buffers_[nextIdx] = std::move(snap);
-    }
-    seq_.store(cur + 1, std::memory_order_release);
+    // Publish by pointer swap. The previous snapshot is released
+    // outside the lock, by this thread or by its last reader.
+    std::shared_ptr<const TelemetrySnapshot> next =
+        std::make_shared<const TelemetrySnapshot>(std::move(snap));
+    std::lock_guard<std::mutex> lock(snapMutex_);
+    current_.swap(next);
 }
 
-TelemetrySnapshot
+std::shared_ptr<const TelemetrySnapshot>
 TelemetryPublisher::snapshot() const
 {
-    std::uint64_t s = seq_.load(std::memory_order_acquire);
-    if (s == 0)
-        return TelemetrySnapshot{};
-    std::uint64_t idx = s & 1;
-    std::lock_guard<std::mutex> lock(bufMutex_[idx]);
-    return buffers_[idx];
+    std::lock_guard<std::mutex> lock(snapMutex_);
+    return current_;
 }
 
 void
@@ -1051,10 +930,10 @@ TelemetryPublisher::serveClient(int fd)
     std::string type = "text/plain; charset=utf-8";
     int code = 200;
     if (path == "/metrics" || path == "/") {
-        body = renderPrometheus(snapshot());
+        body = renderPrometheus(*snapshot());
         type = "text/plain; version=0.0.4; charset=utf-8";
     } else if (path == "/metrics.json" || path == "/json") {
-        body = renderTelemetryJson(snapshot());
+        body = renderTelemetryJson(*snapshot());
         type = "application/json";
     } else if (path == "/healthz") {
         body = "ok\n";

@@ -8,9 +8,9 @@
  * runtime publishes per-worker state through them), snapshots every
  * counter/gauge/timer of a MetricsRegistry plus the per-tenant span
  * delay breakdowns of a SpanCollector, derives per-counter rates and
- * per-gauge watermarks, and publishes the result through a double
- * buffer: readers never block the writer, and a torn read is
- * impossible (tests/test_telemetry.cc hammers exactly that).
+ * per-gauge watermarks, and publishes the result as one immutable
+ * shared snapshot: a reader takes a reference under a short lock, so
+ * it never copies, never tears, and never sees `seq` go backwards.
  *
  * Every lifetime statistic has a sliding-window companion so a scrape
  * sees *recent* behaviour, not the whole-run blend: timers and span
@@ -48,31 +48,23 @@
 #include <atomic>
 #include <condition_variable>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "obs/format.hh"
 #include "obs/metrics.hh"
 #include "obs/spans.hh"
 
 namespace preempt::obs {
 
-/** One published snapshot: plain data, cheap to copy. */
+/** One published snapshot: plain data, immutable once published. */
 struct TelemetrySnapshot
 {
     /** Quantile summary of one histogram (lifetime or windowed). */
-    struct TimerStats
-    {
-        std::uint64_t count = 0;
-        std::uint64_t min = 0;
-        std::uint64_t max = 0;
-        double mean = 0;
-        std::uint64_t p50 = 0;
-        std::uint64_t p90 = 0;
-        std::uint64_t p99 = 0;
-        std::uint64_t p999 = 0;
-    };
+    using TimerStats = HistStats;
 
     struct CounterSample
     {
@@ -151,7 +143,8 @@ struct TelemetrySnapshot
     std::uint64_t spanInvariantViolations = 0;
     std::uint64_t spanAnomalies = 0;
 
-    /** FNV-1a over every field; lets readers prove integrity. */
+    /** FNV-1a over every field (a schema field; readers can verify
+     *  that what they hold is what was published). */
     std::uint64_t checksum = 0;
 
     /** Recompute the checksum field's expected value. */
@@ -221,7 +214,6 @@ class StatTracker
     {
         std::int64_t watermark = 0;
         std::vector<std::int64_t> ring; ///< last <= K tick values
-        std::size_t head = 0;
         std::uint64_t lastTick = 0;
     };
 
@@ -313,19 +305,16 @@ class TelemetryPublisher
     void dumpNow();
 
     /**
-     * Lock-free torn-proof read of the latest published snapshot
-     * (copies out; empty snapshot with seq 0 before the first tick).
+     * The latest published snapshot, shared, never copied. Before the
+     * first tick it is an empty seq-0 snapshot with a valid checksum.
      */
-    TelemetrySnapshot snapshot() const;
+    std::shared_ptr<const TelemetrySnapshot> snapshot() const;
 
     /** Snapshots published so far. */
-    std::uint64_t published() const
-    {
-        return seq_.load(std::memory_order_acquire);
-    }
+    std::uint64_t published() const { return snapshot()->seq; }
 
     /** Window ring size K derived from Options::window. */
-    std::size_t windowEpochs() const { return windowEpochs_; }
+    std::size_t windowEpochs() const { return tracker_.windowEpochs(); }
 
   private:
     void publisherLoop();
@@ -339,24 +328,16 @@ class TelemetryPublisher
     SpanCollector *spans_;
     Options options_;
 
-    // Double buffer: the writer fills buffers_[(seq+1) & 1] under
-    // that buffer's mutex, then publishes by storing seq+1; readers
-    // copy buffers_[seq & 1] under its mutex. A raw seqlock would
-    // tear the std::strings inside a snapshot (UB, not just a
-    // mismatched checksum), so each buffer carries a mutex — but the
-    // writer and readers only meet on the same buffer if a reader
-    // lags a full publish interval, so reads are wait-free in
-    // practice and never delay a publish. One writer (the publisher
-    // thread, or tickNow() callers serialised by tickMutex_).
-    TelemetrySnapshot buffers_[2];
-    mutable std::mutex bufMutex_[2];
-    std::atomic<std::uint64_t> seq_{0};
+    // Writers (the publisher thread, tickNow() callers) are
+    // serialised by tickMutex_; snapMutex_ guards only the pointer
+    // swap and the readers' reference-count bump.
     std::mutex tickMutex_;
+    mutable std::mutex snapMutex_;
+    std::shared_ptr<const TelemetrySnapshot> current_;
 
     // Rate/watermark memory between snapshots (keyed; O(log n) per
     // metric per tick instead of the old O(n) rescan per metric).
     StatTracker tracker_;
-    std::size_t windowEpochs_ = 1;
 
     TimeNs startedAt_ = 0;
     std::atomic<bool> stop_{false};

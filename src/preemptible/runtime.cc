@@ -234,11 +234,11 @@ PreemptibleRuntime::trySteal(int self)
                   static_cast<std::uint64_t>(victim));
         for (std::size_t i = 0; i < got; ++i)
             migrateTask(spoils[i], self);
-        // Keep the oldest (spoils[0]) to run now; stage the rest so
-        // LIFO pops still see them oldest-first.
-        for (std::size_t i = got; i > 1; --i) {
-            if (!me.ready.push(spoils[i - 1]))
-                runTask(self, std::unique_ptr<TaskRecord>(spoils[i - 1]));
+        // Keep the oldest (spoils[0]) to run now; stage the rest in
+        // age order so the owner's oldest-first take runs them FIFO.
+        for (std::size_t i = 1; i < got; ++i) {
+            if (!me.ready.push(spoils[i]))
+                runTask(self, std::unique_ptr<TaskRecord>(spoils[i]));
         }
         return spoils[0];
     }
@@ -315,9 +315,14 @@ PreemptibleRuntime::workerMain(int index)
     WorkerState &w = *workers_[static_cast<std::size_t>(index)];
 
     for (;;) {
-        // Policy #1: new tasks take priority over preempted ones.
+        // Policy #1: new tasks take priority over preempted ones, and
+        // run oldest first (FCFS, as in the simulator): the owner takes
+        // from the top of its own deque, retrying a lost race.
         TaskRecord *raw = nullptr;
-        if (w.ready.pop(raw)) {
+        StealResult took;
+        while ((took = w.ready.steal(raw)) == StealResult::Abort) {
+        }
+        if (took == StealResult::Ok) {
             runTask(index, std::unique_ptr<TaskRecord>(raw));
             continue;
         }

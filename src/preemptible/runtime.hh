@@ -238,7 +238,7 @@ class PreemptibleRuntime
         SpscRing<TaskRecord *> inbox;
         std::mutex submitMutex;
 
-        /** Owner pops LIFO; idle peers steal FIFO batches. */
+        /** Owner takes the oldest task; idle peers steal FIFO batches. */
         StealDeque<TaskRecord *> ready;
 
         /** Victim-selection stream (deterministic per worker). */

@@ -6,7 +6,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "preemptible/hosttime.hh"
-#include "preemptible/uintr_syscalls.hh"
 
 namespace preempt::runtime {
 
@@ -23,11 +22,6 @@ UTimer::init(Options options)
     fatal_if(options_.maxThreads <= 0, "utimer needs maxThreads > 0");
     slots_ = std::vector<DeadlineSlot>(
         static_cast<std::size_t>(options_.maxThreads));
-    usingUintr_ = probeUintr().usable();
-    if (!usingUintr_) {
-        inform("utimer: UINTR unavailable, using signal delivery "
-               "(signo=%d)", options_.signo);
-    }
     running_.store(true);
     thread_ = std::thread([this] { timerLoop(); });
 }
@@ -111,14 +105,9 @@ UTimer::timerLoop()
                               now, firesTotal_.load(
                                        std::memory_order_relaxed),
                               now - std::min(dl, now));
-                    long uipi =
-                        slot.uipiIndex.load(std::memory_order_acquire);
-                    if (usingUintr_ && uipi >= 0)
-                        senduipi(static_cast<unsigned long>(uipi));
-                    else
-                        ::pthread_kill(
-                            slot.tid.load(std::memory_order_acquire),
-                            options_.signo);
+                    ::pthread_kill(
+                        slot.tid.load(std::memory_order_acquire),
+                        options_.signo);
                 }
             } else {
                 soonest = std::min(soonest, dl);

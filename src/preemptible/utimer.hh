@@ -9,9 +9,9 @@
  * the slots and, when a deadline passes, delivers a preemption
  * notification to that thread.
  *
- * Delivery uses UINTR (SENDUIPI) on supporting hardware/kernels and
- * falls back to a directed signal (pthread_kill) elsewhere — the
- * paper's documented fallback path for pre-SPR CPUs.
+ * Delivery is a directed signal (pthread_kill): the paper's path for
+ * CPUs without UINTR. UINTR delivery is modelled only in the simulator
+ * (hw::UintrUnit); the host runtime has no UINTR backend.
  */
 
 #ifndef PREEMPT_PREEMPTIBLE_UTIMER_HH
@@ -49,10 +49,6 @@ struct alignas(64) DeadlineSlot
 
     /** Preemption notifications delivered through this slot. */
     std::atomic<std::uint64_t> fires{0};
-
-    /** UITT index for SENDUIPI delivery; -1 = use signals. Set by the
-     *  preemption layer after uintr_register_sender succeeds. */
-    std::atomic<long> uipiIndex{-1};
 };
 
 /**
@@ -273,9 +269,6 @@ class UTimer
 
     int signo() const { return options_.signo; }
 
-    /** True when delivery uses UINTR rather than signals. */
-    bool usingUintr() const { return usingUintr_; }
-
   private:
     void timerLoop();
 
@@ -287,7 +280,6 @@ class UTimer
     std::atomic<std::uint64_t> wheelFiresTotal_{0};
     std::atomic<std::uint64_t> scans_{0};
     std::atomic<TimeNs> lastFireNs_{0};
-    bool usingUintr_ = false;
 
     /** Registered wheel shards; the timer thread iterates under the
      *  mutex, so unregisterWheel() synchronises with advancing. */

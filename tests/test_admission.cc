@@ -369,18 +369,18 @@ TEST(AdmissionSnapshot, HandFedPublisherRoundTrip)
     obs::TelemetryPublisher pub(&reg, nullptr, opt);
 
     AdmissionController ac;
-    obs::TelemetrySnapshot before = pub.snapshot();
-    EXPECT_EQ(before.seq, 0u) << "no tick yet";
-    ac.onSnapshot(before);
+    auto before = pub.snapshot();
+    EXPECT_EQ(before->seq, 0u) << "no tick yet";
+    ac.onSnapshot(*before);
     EXPECT_EQ(ac.tenantStats(0).ticks, 0u)
         << "empty snapshot names no tenants";
 
     reg.gauge("runtime.in_flight").set(3);
     pub.tickNow();
-    obs::TelemetrySnapshot snap = pub.snapshot();
-    EXPECT_EQ(snap.seq, 1u);
+    auto snap = pub.snapshot();
+    EXPECT_EQ(snap->seq, 1u);
     AdmissionSignals s =
-        AdmissionController::signalsFromSnapshot(snap, 0);
+        AdmissionController::signalsFromSnapshot(*snap, 0);
     EXPECT_TRUE(s.fresh);
     EXPECT_EQ(s.depth, 3);
 }

@@ -3,7 +3,7 @@
  * Work stealing and sharded per-task deadlines in PreemptibleRuntime:
  * rebalancing of skewed submissions, task conservation under steals
  * (none lost, none run twice), exactly-once deadline firing across
- * migrations, and the expired-drop policy.
+ * migrations, the expired-drop policy, and oldest-first dispatch.
  *
  * StealStress.* doubles as the multi-worker stress target the
  * sanitizer CI jobs run explicitly.
@@ -216,6 +216,34 @@ TEST(RuntimeDeadline, DropExpiredDiscardsHopelessTasks)
     EXPECT_EQ(s.expiredDrops + s.completed, s.submitted);
     EXPECT_EQ(ran.load() + static_cast<int>(s.expiredDrops),
               kShort);
+    rt.shutdown();
+}
+
+/** Fresh work runs oldest first (FCFS, as in the simulator): tasks
+ *  queued behind a plugged worker start in submit order, not in the
+ *  reverse order of a LIFO drain. */
+TEST(RuntimeDispatch, QueuedTasksStartInSubmitOrder)
+{
+    PreemptibleRuntime rt(stealOptions(1));
+    std::atomic<bool> started{false}, release{false};
+    ASSERT_TRUE(rt.submitTo(0, [&] {
+        started.store(true);
+        while (!release.load())
+            spinFor(usToNs(50));
+    }, 1));
+    while (!started.load())
+        std::this_thread::yield();
+
+    constexpr int kTasks = 32;
+    std::vector<int> order; // appended only by the single worker
+    for (int i = 0; i < kTasks; ++i)
+        ASSERT_TRUE(rt.submitTo(0, [&order, i] { order.push_back(i); }));
+    release.store(true);
+    rt.quiesce();
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
+    for (int i = 0; i < kTasks; ++i)
+        EXPECT_EQ(order[static_cast<std::size_t>(i)], i)
+            << "task " << i << " did not start in submit order";
     rt.shutdown();
 }
 

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -52,9 +53,10 @@ TEST(Telemetry, SnapshotBeforeFirstTickIsEmptyButValid)
 {
     MetricsRegistry reg;
     TelemetryPublisher pub(&reg, nullptr, fastOptions());
-    TelemetrySnapshot snap = pub.snapshot();
-    EXPECT_EQ(snap.seq, 0u);
-    EXPECT_TRUE(snap.counters.empty());
+    auto snap = pub.snapshot();
+    EXPECT_EQ(snap->seq, 0u);
+    EXPECT_TRUE(snap->counters.empty());
+    EXPECT_EQ(snap->checksum, snap->computeChecksum());
 }
 
 TEST(Telemetry, TickPublishesAndChecksumMatches)
@@ -65,16 +67,16 @@ TEST(Telemetry, TickPublishesAndChecksumMatches)
     reg.timer("a.lat").record(100);
     TelemetryPublisher pub(&reg, nullptr, fastOptions());
     pub.tickNow();
-    TelemetrySnapshot snap = pub.snapshot();
-    EXPECT_EQ(snap.seq, 1u);
-    ASSERT_EQ(snap.counters.size(), 1u);
-    EXPECT_EQ(snap.counters[0].name, "a.count");
-    EXPECT_EQ(snap.counters[0].value, 3u);
-    ASSERT_EQ(snap.gauges.size(), 1u);
-    EXPECT_EQ(snap.gauges[0].value, 7);
-    ASSERT_EQ(snap.timers.size(), 1u);
-    EXPECT_EQ(snap.timers[0].count, 1u);
-    EXPECT_EQ(snap.checksum, snap.computeChecksum());
+    auto snap = pub.snapshot();
+    EXPECT_EQ(snap->seq, 1u);
+    ASSERT_EQ(snap->counters.size(), 1u);
+    EXPECT_EQ(snap->counters[0].name, "a.count");
+    EXPECT_EQ(snap->counters[0].value, 3u);
+    ASSERT_EQ(snap->gauges.size(), 1u);
+    EXPECT_EQ(snap->gauges[0].value, 7);
+    ASSERT_EQ(snap->timers.size(), 1u);
+    EXPECT_EQ(snap->timers[0].count, 1u);
+    EXPECT_EQ(snap->checksum, snap->computeChecksum());
 }
 
 /** The ISSUE's torn-read criterion: readers hammering snapshot()
@@ -103,13 +105,13 @@ TEST(Telemetry, ConcurrentSnapshotsNeverTear)
         readers.emplace_back([&] {
             std::uint64_t lastSeq = 0;
             while (!stop.load(std::memory_order_relaxed)) {
-                TelemetrySnapshot snap = pub.snapshot();
+                auto snap = pub.snapshot();
                 reads.fetch_add(1, std::memory_order_relaxed);
-                if (snap.checksum != snap.computeChecksum())
+                if (snap->checksum != snap->computeChecksum())
                     torn.fetch_add(1);
-                if (snap.seq < lastSeq)
+                if (snap->seq < lastSeq)
                     regressions.fetch_add(1);
-                lastSeq = snap.seq;
+                lastSeq = snap->seq;
             }
         });
     }
@@ -207,13 +209,13 @@ TEST(Telemetry, RatesAndWatermarksDeriveAcrossTicks)
     g.set(20);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     pub.tickNow();
-    TelemetrySnapshot snap = pub.snapshot();
-    ASSERT_EQ(snap.counters.size(), 1u);
-    EXPECT_EQ(snap.counters[0].value, 100u);
-    EXPECT_GT(snap.counters[0].ratePerSec, 0.0);
-    ASSERT_EQ(snap.gauges.size(), 1u);
-    EXPECT_EQ(snap.gauges[0].value, 20);
-    EXPECT_EQ(snap.gauges[0].watermark, 50); // high-water retained
+    auto snap = pub.snapshot();
+    ASSERT_EQ(snap->counters.size(), 1u);
+    EXPECT_EQ(snap->counters[0].value, 100u);
+    EXPECT_GT(snap->counters[0].ratePerSec, 0.0);
+    ASSERT_EQ(snap->gauges.size(), 1u);
+    EXPECT_EQ(snap->gauges[0].value, 20);
+    EXPECT_EQ(snap->gauges[0].watermark, 50); // high-water retained
 }
 
 TEST(Telemetry, SamplersRunPerTickAndUnregisterStops)
@@ -228,9 +230,9 @@ TEST(Telemetry, SamplersRunPerTickAndUnregisterStops)
         });
     pub.tickNow();
     EXPECT_EQ(calls.load(), 1);
-    TelemetrySnapshot snap = pub.snapshot();
-    ASSERT_EQ(snap.gauges.size(), 1u);
-    EXPECT_EQ(snap.gauges[0].name, "sampled.value");
+    auto snap = pub.snapshot();
+    ASSERT_EQ(snap->gauges.size(), 1u);
+    EXPECT_EQ(snap->gauges[0].name, "sampled.value");
     obs::unregisterTelemetrySampler(id);
     pub.tickNow();
     EXPECT_EQ(calls.load(), 1);
@@ -331,9 +333,10 @@ TEST(StatTracker, ManyMetricsSurviveChurn)
         for (int i = 0; i < kStable; ++i) {
             obs::StatTracker::CounterStats s = tr.counter(
                 "stable." + std::to_string(i), tick * 100);
-            if (tick > 1)
+            if (tick > 1) {
                 EXPECT_DOUBLE_EQ(s.ratePerSec, 100.0)
                     << "stable." << i << " at tick " << tick;
+            }
         }
         for (int i = 0; i < kChurn; ++i) {
             // Only half the churn set exists on any given tick.
@@ -401,17 +404,17 @@ TEST(TelemetryWindow, QuantilesTrackLoadShiftWhileLifetimeBlends)
             t.record(1000000);
         pub.tickNow();
     }
-    TelemetrySnapshot snap = pub.snapshot();
-    ASSERT_EQ(snap.timers.size(), 1u);
-    ASSERT_TRUE(snap.timers[0].windowed);
-    EXPECT_EQ(snap.windowEpochs, 3u);
+    auto snap = pub.snapshot();
+    ASSERT_EQ(snap->timers.size(), 1u);
+    ASSERT_TRUE(snap->timers[0].windowed);
+    EXPECT_EQ(snap->windowEpochs, 3u);
     // The window converged to the new phase within K ticks...
-    EXPECT_GT(snap.timers[0].window.p50, 500000u);
-    EXPECT_LE(snap.timers[0].window.count, snap.timers[0].count);
+    EXPECT_GT(snap->timers[0].window.p50, 500000u);
+    EXPECT_LE(snap->timers[0].window.count, snap->timers[0].count);
     // ...while the lifetime median still sits in the old phase
     // (10k low samples vs 3k high ones).
-    EXPECT_LT(snap.timers[0].p50, 2000u);
-    EXPECT_EQ(snap.checksum, snap.computeChecksum());
+    EXPECT_LT(snap->timers[0].p50, 2000u);
+    EXPECT_EQ(snap->checksum, snap->computeChecksum());
 }
 
 TEST(TelemetryWindow, SpanWindowsFollowRecentTenantTraffic)
@@ -434,14 +437,14 @@ TEST(TelemetryWindow, SpanWindowsFollowRecentTenantTraffic)
     pub.tickNow(); // first span has rotated out of the 2-epoch window
     lifecycle(2, 1000, 5000);
     pub.tickNow();
-    TelemetrySnapshot snap = pub.snapshot();
-    ASSERT_EQ(snap.spans.size(), 1u);
-    EXPECT_EQ(snap.spans[0].completed, 2u);
+    auto snap = pub.snapshot();
+    ASSERT_EQ(snap->spans.size(), 1u);
+    EXPECT_EQ(snap->spans[0].completed, 2u);
     // Lifetime covers both spans; the window only the recent one.
-    EXPECT_EQ(snap.spans[0].total.count, 2u);
-    EXPECT_EQ(snap.spans[0].window.completed, 1u);
-    EXPECT_EQ(snap.spans[0].window.total.count, 1u);
-    EXPECT_GT(snap.spans[0].window.total.p50, 1000u);
+    EXPECT_EQ(snap->spans[0].total.count, 2u);
+    EXPECT_EQ(snap->spans[0].window.completed, 1u);
+    EXPECT_EQ(snap->spans[0].window.total.count, 1u);
+    EXPECT_GT(snap->spans[0].window.total.p50, 1000u);
 }
 
 TEST(TelemetryWindow, RenderingsExposeWindowSeries)
@@ -457,10 +460,10 @@ TEST(TelemetryWindow, RenderingsExposeWindowSeries)
     TelemetryPublisher pub(&reg, &spans, fastOptions());
     pub.tickNow();
     pub.tickNow();
-    TelemetrySnapshot snap = pub.snapshot();
-    EXPECT_GT(snap.windowSec, 0.0);
+    auto snap = pub.snapshot();
+    EXPECT_GT(snap->windowSec, 0.0);
 
-    std::string prom = obs::renderPrometheus(snap);
+    std::string prom = obs::renderPrometheus(*snap);
     for (const char *series :
          {"preempt_telemetry_window_seconds",
           "preempt_w_ops_rate_window", "preempt_w_ops_resets_total",
@@ -471,7 +474,7 @@ TEST(TelemetryWindow, RenderingsExposeWindowSeries)
             << "missing " << series << "\n"
             << prom;
 
-    std::string json = obs::renderTelemetryJson(snap);
+    std::string json = obs::renderTelemetryJson(*snap);
     std::string err;
     EXPECT_TRUE(obs::validateJson(json, &err)) << err << "\n" << json;
     for (const char *field :
@@ -498,7 +501,7 @@ TEST(Telemetry, PrometheusRenderingExposesEverySeries)
     spans.onEvent(obs::EventKind::Complete, 0, 30, 1, 0, 0);
     TelemetryPublisher pub(&reg, &spans, fastOptions());
     pub.tickNow();
-    std::string text = obs::renderPrometheus(pub.snapshot());
+    std::string text = obs::renderPrometheus(*pub.snapshot());
 
     // Counter with _total suffix + derived rate gauge.
     EXPECT_NE(text.find("preempt_runtime_submitted_total 5"),
@@ -548,7 +551,7 @@ TEST(Telemetry, JsonRenderingIsValidAndRoundTrips)
     spans.onEvent(obs::EventKind::Complete, 0, 9, 1, 0, 0);
     TelemetryPublisher pub(&reg, &spans, fastOptions());
     pub.tickNow();
-    std::string json = obs::renderTelemetryJson(pub.snapshot());
+    std::string json = obs::renderTelemetryJson(*pub.snapshot());
     std::string err;
     EXPECT_TRUE(obs::validateJson(json, &err)) << err << "\n" << json;
     EXPECT_NE(json.find("\"schema\": \"preempt.telemetry.v1\""),
@@ -556,6 +559,180 @@ TEST(Telemetry, JsonRenderingIsValidAndRoundTrips)
     EXPECT_NE(json.find("\"j.depth\""), std::string::npos);
     EXPECT_NE(json.find("-4"), std::string::npos);
     EXPECT_NE(json.find("\"tenants\""), std::string::npos);
+}
+
+/** A hand-built snapshot: two tenants, label-suffixed counters,
+ *  gauges and timers, every field distinct. */
+TelemetrySnapshot
+goldenSnapshot()
+{
+    auto stats = [](std::uint64_t b) {
+        TelemetrySnapshot::TimerStats t;
+        t.count = b;
+        t.min = b + 1;
+        t.max = b * 100;
+        t.mean = static_cast<double>(b) * 10.25;
+        t.p50 = b * 9;
+        t.p90 = b * 20;
+        t.p99 = b * 50;
+        t.p999 = b * 90;
+        return t;
+    };
+    auto timer = [&](const char *name, std::uint64_t b, bool windowed) {
+        TelemetrySnapshot::TimerSample t;
+        static_cast<TelemetrySnapshot::TimerStats &>(t) = stats(b);
+        t.name = name;
+        t.windowed = windowed;
+        if (windowed)
+            t.window = stats(b + 3);
+        return t;
+    };
+
+    TelemetrySnapshot s;
+    s.seq = 7;
+    s.wallNs = 1700000000123456789ULL;
+    s.monoNs = 987654321;
+    s.uptimeSec = 12.5;
+    s.intervalSec = 0.05;
+    s.windowSec = 0.5;
+    s.windowEpochs = 10;
+    s.counters = {{"runtime.steal.hit/w0", 10, 1.5, 2.25, 0},
+                  {"runtime.steal.hit/w1", 20, 3.5, 4.125, 0},
+                  {"runtime.submitted", 30, 100.0, 75.5, 1},
+                  {"odd.name/x\"y", 1, 0.0, 0.0, 0}};
+    s.gauges = {{"runtime.worker.deque_depth/t1.w0", 3, 9, 4},
+                {"runtime.worker.deque_depth/t1.w1", -2, 6, 1},
+                {"runtime.in_flight", 5, 12, 7}};
+    s.timers = {timer("runtime.sojourn_ns/core0", 11, true),
+                timer("runtime.sojourn_ns/core1", 13, true),
+                timer("utimer.delivery_ns", 17, false)};
+    for (std::uint32_t tenant : {1u, 2u}) {
+        TelemetrySnapshot::TenantSpans t;
+        std::uint64_t b = tenant * 100;
+        t.tenant = tenant;
+        t.completed = b + 1;
+        t.cancelled = b + 2;
+        t.violations = b + 3;
+        t.queued = timer("queued", b + 4, false);
+        t.running = timer("running", b + 5, false);
+        t.preempted = timer("preempted", b + 6, false);
+        t.timerLag = timer("timer_lag", b + 7, false);
+        t.total = timer("total", b + 8, false);
+        t.window.completed = b + 9;
+        t.window.cancelled = b + 10;
+        t.window.violations = b + 11;
+        t.window.queued = stats(b + 12);
+        t.window.running = stats(b + 13);
+        t.window.preempted = stats(b + 14);
+        t.window.timerLag = stats(b + 15);
+        t.window.total = stats(b + 16);
+        s.spans.push_back(t);
+    }
+    s.spanInvariantViolations = 1;
+    s.spanAnomalies = 2;
+    s.checksum = s.computeChecksum();
+    return s;
+}
+
+/** renderTelemetryJson(goldenSnapshot()), byte for byte, checksum
+ *  included: the schema and the checksum's byte order are pinned. */
+const char *const kGoldenJson = R"golden({
+  "schema": "preempt.telemetry.v1",
+  "seq": 7,
+  "wall_ns": 1700000000123456789,
+  "mono_ns": 987654321,
+  "uptime_sec": 12.500000,
+  "interval_sec": 0.050000,
+  "window_sec": 0.500000,
+  "window_epochs": 10,
+  "checksum": "3dae17269ebb77e8",
+  "counters": {
+    "runtime.steal.hit/w0": {"value": 10, "rate_per_sec": 1.500000, "window_rate_per_sec": 2.250000, "resets": 0},
+    "runtime.steal.hit/w1": {"value": 20, "rate_per_sec": 3.500000, "window_rate_per_sec": 4.125000, "resets": 0},
+    "runtime.submitted": {"value": 30, "rate_per_sec": 100.000000, "window_rate_per_sec": 75.500000, "resets": 1},
+    "odd.name/x\"y": {"value": 1, "rate_per_sec": 0.000000, "window_rate_per_sec": 0.000000, "resets": 0}
+  },
+  "gauges": {
+    "runtime.worker.deque_depth/t1.w0": {"value": 3, "watermark": 9, "window_watermark": 4},
+    "runtime.worker.deque_depth/t1.w1": {"value": -2, "watermark": 6, "window_watermark": 1},
+    "runtime.in_flight": {"value": 5, "watermark": 12, "window_watermark": 7}
+  },
+  "timers": {
+    "runtime.sojourn_ns/core0": {"count": 11, "min": 12, "max": 1100, "mean": 112.750000, "p50": 99, "p90": 220, "p99": 550, "p999": 990, "window": {"count": 14, "min": 15, "max": 1400, "mean": 143.500000, "p50": 126, "p90": 280, "p99": 700, "p999": 1260}},
+    "runtime.sojourn_ns/core1": {"count": 13, "min": 14, "max": 1300, "mean": 133.250000, "p50": 117, "p90": 260, "p99": 650, "p999": 1170, "window": {"count": 16, "min": 17, "max": 1600, "mean": 164.000000, "p50": 144, "p90": 320, "p99": 800, "p999": 1440}},
+    "utimer.delivery_ns": {"count": 17, "min": 18, "max": 1700, "mean": 174.250000, "p50": 153, "p90": 340, "p99": 850, "p999": 1530}
+  },
+  "spans": {
+    "invariant_violations": 1,
+    "anomalies": 2,
+    "tenants": {
+      "1": {"completed": 101, "cancelled": 102, "violations": 103, "queued": {"count": 104, "min": 105, "max": 10400, "mean": 1066.000000, "p50": 936, "p90": 2080, "p99": 5200, "p999": 9360}, "running": {"count": 105, "min": 106, "max": 10500, "mean": 1076.250000, "p50": 945, "p90": 2100, "p99": 5250, "p999": 9450}, "preempted": {"count": 106, "min": 107, "max": 10600, "mean": 1086.500000, "p50": 954, "p90": 2120, "p99": 5300, "p999": 9540}, "timer_lag": {"count": 107, "min": 108, "max": 10700, "mean": 1096.750000, "p50": 963, "p90": 2140, "p99": 5350, "p999": 9630}, "total": {"count": 108, "min": 109, "max": 10800, "mean": 1107.000000, "p50": 972, "p90": 2160, "p99": 5400, "p999": 9720}, "window": {"completed": 109, "cancelled": 110, "violations": 111, "queued": {"count": 112, "min": 113, "max": 11200, "mean": 1148.000000, "p50": 1008, "p90": 2240, "p99": 5600, "p999": 10080}, "running": {"count": 113, "min": 114, "max": 11300, "mean": 1158.250000, "p50": 1017, "p90": 2260, "p99": 5650, "p999": 10170}, "preempted": {"count": 114, "min": 115, "max": 11400, "mean": 1168.500000, "p50": 1026, "p90": 2280, "p99": 5700, "p999": 10260}, "timer_lag": {"count": 115, "min": 116, "max": 11500, "mean": 1178.750000, "p50": 1035, "p90": 2300, "p99": 5750, "p999": 10350}, "total": {"count": 116, "min": 117, "max": 11600, "mean": 1189.000000, "p50": 1044, "p90": 2320, "p99": 5800, "p999": 10440}}},
+      "2": {"completed": 201, "cancelled": 202, "violations": 203, "queued": {"count": 204, "min": 205, "max": 20400, "mean": 2091.000000, "p50": 1836, "p90": 4080, "p99": 10200, "p999": 18360}, "running": {"count": 205, "min": 206, "max": 20500, "mean": 2101.250000, "p50": 1845, "p90": 4100, "p99": 10250, "p999": 18450}, "preempted": {"count": 206, "min": 207, "max": 20600, "mean": 2111.500000, "p50": 1854, "p90": 4120, "p99": 10300, "p999": 18540}, "timer_lag": {"count": 207, "min": 208, "max": 20700, "mean": 2121.750000, "p50": 1863, "p90": 4140, "p99": 10350, "p999": 18630}, "total": {"count": 208, "min": 209, "max": 20800, "mean": 2132.000000, "p50": 1872, "p90": 4160, "p99": 10400, "p999": 18720}, "window": {"completed": 209, "cancelled": 210, "violations": 211, "queued": {"count": 212, "min": 213, "max": 21200, "mean": 2173.000000, "p50": 1908, "p90": 4240, "p99": 10600, "p999": 19080}, "running": {"count": 213, "min": 214, "max": 21300, "mean": 2183.250000, "p50": 1917, "p90": 4260, "p99": 10650, "p999": 19170}, "preempted": {"count": 214, "min": 215, "max": 21400, "mean": 2193.500000, "p50": 1926, "p90": 4280, "p99": 10700, "p999": 19260}, "timer_lag": {"count": 215, "min": 216, "max": 21500, "mean": 2203.750000, "p50": 1935, "p90": 4300, "p99": 10750, "p999": 19350}, "total": {"count": 216, "min": 217, "max": 21600, "mean": 2214.000000, "p50": 1944, "p90": 4320, "p99": 10800, "p999": 19440}}}
+    }
+  }
+}
+)golden";
+
+TEST(TelemetryRender, JsonMatchesGolden)
+{
+    EXPECT_EQ(obs::renderTelemetryJson(goldenSnapshot()), kGoldenJson);
+}
+
+/** Map a sample name to its family: the name itself once its # TYPE
+ *  was seen, or the summary it is the _sum/_count of. */
+std::string
+sampleFamily(const std::string &name,
+             const std::map<std::string, std::string> &types)
+{
+    if (types.count(name))
+        return name;
+    for (const std::string suffix : {"_sum", "_count"}) {
+        if (name.size() > suffix.size() &&
+            name.compare(name.size() - suffix.size(), suffix.size(),
+                         suffix) == 0) {
+            std::string base = name.substr(0, name.size() - suffix.size());
+            auto it = types.find(base);
+            if (it != types.end() && it->second == "summary")
+                return base;
+        }
+    }
+    return name;
+}
+
+/** The exposition format's grouping rules: every family has exactly
+ *  one # TYPE line, and all of its samples follow it contiguously.
+ *  Two label sets of one metric (per worker, core, tenant) must not
+ *  repeat the TYPE line or interleave with other families. */
+TEST(TelemetryRender, PrometheusGroupsSamplesByFamily)
+{
+    std::string text = obs::renderPrometheus(goldenSnapshot());
+    std::map<std::string, std::string> types;
+    std::string current;
+    std::size_t samples = 0;
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.rfind("# TYPE ", 0) == 0) {
+            std::istringstream fields(line.substr(7));
+            std::string name, type;
+            fields >> name >> type;
+            EXPECT_TRUE(types.emplace(name, type).second)
+                << "repeated # TYPE for " << name;
+            current = name;
+            continue;
+        }
+        ++samples;
+        std::string name = line.substr(0, line.find_first_of("{ "));
+        EXPECT_EQ(sampleFamily(name, types), current)
+            << "sample outside its family's run: " << line;
+    }
+    // Same series as before grouping: 5 heartbeat, 4x4 counter,
+    // 3x3 gauge, 5x6 timer and 2x(6 + 10x6) + 2 span samples.
+    EXPECT_EQ(samples, 5u + 16u + 9u + 30u + 134u);
+    for (const char *series :
+         {"preempt_runtime_steal_hit_total{worker=\"1\"} 20\n",
+          "preempt_spans_total_ns_window_count{tenant=\"2\"} 216\n"})
+        EXPECT_NE(text.find(series), std::string::npos) << series;
 }
 
 // ----- HTTP listener ------------------------------------------------

@@ -19,6 +19,10 @@ Two schema-pinned modes validate the live-telemetry artifacts:
                      per-tenant "window" span blocks)
   --spans FILE       a tools/span_tool --json export
                      (schema "preempt.spans.v2")
+  --prometheus FILE  a /metrics scrape (Prometheus text exposition):
+                     every family has exactly one # TYPE line, and
+                     all of its samples follow it in one contiguous
+                     run (a summary's _sum/_count included)
 
 A third pinned mode validates the admission-control overload sweep:
 
@@ -35,6 +39,7 @@ A third pinned mode validates the admission-control overload sweep:
 Usage: check_bench_json.py GENERATED REFERENCE
        check_bench_json.py --telemetry FILE
        check_bench_json.py --spans FILE
+       check_bench_json.py --prometheus FILE
        check_bench_json.py --admission FILE [--strict]
 """
 
@@ -233,6 +238,44 @@ def check_spans(path):
           f"{len(doc['tenants'])} tenants, 0 invariant violations)")
 
 
+def check_prometheus(path):
+    types = {}
+    current = None
+    samples = 0
+    with open(path) as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.rstrip("\n")
+            where = f"{path}:{lineno}"
+            if line.startswith("# TYPE "):
+                fields = line.split()
+                if len(fields) != 4:
+                    fail(where, f"malformed TYPE line '{line}'")
+                name = fields[2]
+                if name in types:
+                    fail(where, f"repeated # TYPE for family '{name}'")
+                types[name] = fields[3]
+                current = name
+                continue
+            if not line or line.startswith("#"):
+                continue
+            samples += 1
+            name = line.split("{", 1)[0].split(" ", 1)[0]
+            family = name
+            if name not in types:
+                for suffix in ("_sum", "_count"):
+                    base = name[:-len(suffix)]
+                    if name.endswith(suffix) and \
+                            types.get(base) == "summary":
+                        family = base
+            if family != current:
+                fail(where, f"sample '{name}' is outside the run of "
+                            f"its family (current: '{current}')")
+    if samples == 0:
+        fail(path, "no samples")
+    print(f"{path}: Prometheus exposition OK ({len(types)} families, "
+          f"{samples} samples)")
+
+
 ADMISSION_STATES = ("admit", "throttle", "shed_be", "shed_lc")
 
 
@@ -306,6 +349,9 @@ def main():
         return
     if len(sys.argv) == 3 and sys.argv[1] == "--spans":
         check_spans(sys.argv[2])
+        return
+    if len(sys.argv) == 3 and sys.argv[1] == "--prometheus":
+        check_prometheus(sys.argv[2])
         return
     if len(sys.argv) != 3:
         raise SystemExit(__doc__)

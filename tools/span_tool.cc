@@ -30,6 +30,7 @@
 #include "common/table.hh"
 #include "common/time.hh"
 #include "obs/export.hh"
+#include "obs/format.hh"
 #include "obs/spans.hh"
 #include "obs/trace.hh"
 
@@ -124,25 +125,6 @@ parseTrace(const std::string &path)
         records.push_back(rec);
     }
     return records;
-}
-
-std::string
-num(double v)
-{
-    std::ostringstream os;
-    os.imbue(std::locale::classic());
-    os.precision(6);
-    os << std::fixed << v;
-    return os.str();
-}
-
-void
-histJson(std::ostringstream &os, const LatencyHistogram &h)
-{
-    os << "{\"count\": " << h.count() << ", \"min\": " << h.min()
-       << ", \"max\": " << h.max() << ", \"mean\": " << num(h.mean())
-       << ", \"p50\": " << h.p50() << ", \"p90\": " << h.p90()
-       << ", \"p99\": " << h.p99() << ", \"p999\": " << h.p999() << "}";
 }
 
 } // namespace
@@ -280,7 +262,7 @@ main(int argc, char **argv)
             auto field = [&](const char *name,
                              const LatencyHistogram &h) {
                 os << ", \"" << name << "\": ";
-                histJson(os, h);
+                obs::fmt::jsonStats(os, obs::HistStats::of(h));
             };
             field("queued", t.queued);
             field("running", t.running);
