@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <map>
+#include <ostream>
 
 #include "common/dist.hh"
 
@@ -174,15 +175,23 @@ TEST(Scv, RanksWorkloadsByDispersion)
 
 // Property sweep: every distribution yields non-negative samples and a
 // sampled mean near the analytic mean.
-class DistributionProperty
-    : public testing::TestWithParam<std::pair<const char *, DistributionPtr>>
+struct DistCase
+{
+    const char *name;
+    DistributionPtr dist;
+};
+
+// Prints the case by name, so the listed test names hold no pointers.
+void PrintTo(const DistCase &c, std::ostream *os) { *os << c.name; }
+
+class DistributionProperty : public testing::TestWithParam<DistCase>
 {
 };
 
 TEST_P(DistributionProperty, NonNegativeAndMeanConsistent)
 {
     Rng rng(99);
-    const auto &dist = *GetParam().second;
+    const auto &dist = *GetParam().dist;
     double sum = 0;
     const int n = 300000;
     for (int i = 0; i < n; ++i) {
@@ -198,7 +207,7 @@ TEST_P(DistributionProperty, NonNegativeAndMeanConsistent)
 TEST_P(DistributionProperty, SampleNsRoundsSanely)
 {
     Rng rng(100);
-    const auto &dist = *GetParam().second;
+    const auto &dist = *GetParam().dist;
     for (int i = 0; i < 1000; ++i) {
         TimeNs v = dist.sampleNs(rng);
         ASSERT_LT(v, static_cast<TimeNs>(1) << 62);
@@ -208,23 +217,15 @@ TEST_P(DistributionProperty, SampleNsRoundsSanely)
 INSTANTIATE_TEST_SUITE_P(
     AllDistributions, DistributionProperty,
     testing::Values(
-        std::pair<const char *, DistributionPtr>{
-            "const", std::make_shared<ConstantDist>(7.0)},
-        std::pair<const char *, DistributionPtr>{
-            "exp", std::make_shared<ExponentialDist>(5000.0)},
-        std::pair<const char *, DistributionPtr>{
-            "uniform", std::make_shared<UniformDist>(1.0, 2.0)},
-        std::pair<const char *, DistributionPtr>{
-            "bimodalA1", makePaperWorkload("A1")},
-        std::pair<const char *, DistributionPtr>{
-            "bimodalA2", makePaperWorkload("A2")},
-        std::pair<const char *, DistributionPtr>{
-            "lognormal", std::make_shared<LogNormalDist>(1000.0, 0.6)},
-        std::pair<const char *, DistributionPtr>{
-            "pareto", std::make_shared<ParetoDist>(10.0, 2.2)}),
-    [](const testing::TestParamInfo<
-        std::pair<const char *, DistributionPtr>> &info) {
-        return info.param.first;
+        DistCase{"const", std::make_shared<ConstantDist>(7.0)},
+        DistCase{"exp", std::make_shared<ExponentialDist>(5000.0)},
+        DistCase{"uniform", std::make_shared<UniformDist>(1.0, 2.0)},
+        DistCase{"bimodalA1", makePaperWorkload("A1")},
+        DistCase{"bimodalA2", makePaperWorkload("A2")},
+        DistCase{"lognormal", std::make_shared<LogNormalDist>(1000.0, 0.6)},
+        DistCase{"pareto", std::make_shared<ParetoDist>(10.0, 2.2)}),
+    [](const testing::TestParamInfo<DistCase> &info) {
+        return info.param.name;
     });
 
 } // namespace

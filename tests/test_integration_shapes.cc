@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "baselines/libinger_sim.hh"
@@ -84,8 +85,19 @@ runSystem(const std::string &system, const std::string &wl, double rps,
 
 // --- conservation property over (system, workload) --------------------
 
-class Conservation
-    : public testing::TestWithParam<std::pair<const char *, const char *>>
+struct ConservationCase
+{
+    const char *system;
+    const char *wl;
+};
+
+// Prints the case by name, so the listed test names hold no pointers.
+void PrintTo(const ConservationCase &c, std::ostream *os)
+{
+    *os << c.system << "/" << c.wl;
+}
+
+class Conservation : public testing::TestWithParam<ConservationCase>
 {
 };
 
@@ -101,17 +113,17 @@ TEST_P(Conservation, NoRequestLostAtModerateLoad)
 INSTANTIATE_TEST_SUITE_P(
     SystemsTimesWorkloads, Conservation,
     testing::Values(
-        std::pair<const char *, const char *>{"libpreemptible", "A1"},
-        std::pair<const char *, const char *>{"libpreemptible", "A2"},
-        std::pair<const char *, const char *>{"libpreemptible", "B"},
-        std::pair<const char *, const char *>{"libpreemptible", "C"},
-        std::pair<const char *, const char *>{"shinjuku", "A1"},
-        std::pair<const char *, const char *>{"shinjuku", "B"},
-        std::pair<const char *, const char *>{"libinger", "A1"},
-        std::pair<const char *, const char *>{"nouintr", "A1"},
-        std::pair<const char *, const char *>{"adaptive", "C"}),
+        ConservationCase{"libpreemptible", "A1"},
+        ConservationCase{"libpreemptible", "A2"},
+        ConservationCase{"libpreemptible", "B"},
+        ConservationCase{"libpreemptible", "C"},
+        ConservationCase{"shinjuku", "A1"},
+        ConservationCase{"shinjuku", "B"},
+        ConservationCase{"libinger", "A1"},
+        ConservationCase{"nouintr", "A1"},
+        ConservationCase{"adaptive", "C"}),
     [](const auto &info) {
-        return std::string(info.param.first) + "_" + info.param.second;
+        return std::string(info.param.system) + "_" + info.param.wl;
     });
 
 // --- Fig. 8 shape: ordering at high load -------------------------------
