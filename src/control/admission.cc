@@ -293,8 +293,7 @@ AdmissionController::signalsFromSnapshot(
         break;
     }
     std::string depthGauge =
-        tenant == 0 ? "runtime.in_flight"
-                    : "runtime/t" + std::to_string(tenant) + ".in_flight";
+        obs::scopedMetricName("runtime.in_flight", tenant);
     for (const auto &g : snap.gauges) {
         if (g.name == depthGauge) {
             out.depth = g.value;

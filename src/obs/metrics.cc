@@ -204,6 +204,17 @@ threadMetricsRegistry() noexcept
     return t_threadMetrics;
 }
 
+std::string
+scopedMetricName(const std::string &base, std::uint32_t tenant, int worker)
+{
+    std::string name = base;
+    if (tenant != 0)
+        name += "/t" + std::to_string(tenant);
+    if (worker >= 0)
+        name += (tenant != 0 ? ".w" : "/w") + std::to_string(worker);
+    return name;
+}
+
 void
 addCount(const char *name, std::uint64_t n)
 {

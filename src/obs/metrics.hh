@@ -270,6 +270,15 @@ class ScopedThreadMetricsRegistry
     MetricsRegistry *prev_;
 };
 
+/**
+ * The one spelling of a tenant- or worker-scoped metric name: @p base
+ * itself for tenant 0 and "base/tN" for tenant N; with a worker index,
+ * "base/wM" (tenant 0) or "base/tN.wM". The Prometheus renderer parses
+ * the suffix into {tenant="N",worker="M"} labels.
+ */
+std::string scopedMetricName(const std::string &base, std::uint32_t tenant,
+                             int worker = -1);
+
 // ----- No-op-when-disabled helpers for instrumentation sites --------
 
 void addCount(const char *name, std::uint64_t n = 1);

@@ -36,35 +36,28 @@ PreemptibleRuntime::PreemptibleRuntime(Options options)
     timer_.init(options_.timer);
     startedAt_ = hostNowNs();
 
-    // The shard fire path touches only the task's atomic flag and
-    // counters: the task stays alive because every deletion first
-    // cancels the pending deadline under the same shard mutex the
-    // fire callback runs under.
-    auto onFire = [this](std::uint64_t cookie, TimeNs when,
-                         TimeNs now) {
-        (void)when;
-        (void)now;
-        auto *task = reinterpret_cast<TaskRecord *>(cookie);
-        task->deadlineExpired.store(true, std::memory_order_release);
-        deadlineFires_.fetch_add(1, std::memory_order_relaxed);
-        obs::addCount("runtime.deadline.fires");
-    };
     for (int i = 0; i < options_.nWorkers; ++i) {
         workers_.push_back(std::make_unique<WorkerState>(
             options_.queueCapacity, options_.seed,
             static_cast<std::uint64_t>(i)));
         WorkerState &w = *workers_.back();
+        // The shard fire path touches only the task's atomic flag and
+        // the shard owner's counters: the task stays alive because
+        // every deletion first cancels the pending deadline under the
+        // same shard mutex the fire callback runs under.
+        auto onFire = [&w](std::uint64_t cookie, TimeNs, TimeNs) {
+            auto *task = reinterpret_cast<TaskRecord *>(cookie);
+            task->deadlineExpired.store(true, std::memory_order_release);
+            w.count(RuntimeCounter::DeadlineFires);
+        };
         w.shard = std::make_unique<WheelShard>(
             options_.wheelTick, options_.wheelSlots,
             options_.wheelLevels, onFire);
         w.shard->primeTo(hostNowNs());
-        w.shard->depthGauge =
-            "runtime.wheel.depth/shard" + std::to_string(i);
         timer_.registerWheel(w.shard.get());
     }
     for (int i = 0; i < options_.nWorkers; ++i)
-        workers_[static_cast<std::size_t>(i)]->thread =
-            std::thread([this, i] { workerMain(i); });
+        workerAt(i).thread = std::thread([this, i] { workerMain(i); });
 
     samplerId_ = obs::registerTelemetrySampler(
         [this](obs::MetricsRegistry &r) { sampleTelemetry(r); });
@@ -91,29 +84,28 @@ PreemptibleRuntime::submitTo(int worker, std::function<void()> body,
     fatal_if(stopping_.load(), "submit after shutdown");
     fatal_if(worker < 0 || worker >= options_.nWorkers,
              "submitTo target out of range");
+    WorkerState &w = workerAt(worker);
+    const auto track = static_cast<std::uint32_t>(worker);
     if (options_.admission &&
         !options_.admission->decide(options_.tenant, cls)) {
         // Policy rejection: first-class and before any task state
         // exists — no TaskSubmit span is opened, so span accounting
         // only ever sees admitted work.
-        rejectedPolicy_.fetch_add(1, std::memory_order_relaxed);
-        obs::emit(obs::EventKind::TaskReject,
-                  static_cast<std::uint32_t>(worker), hostNowNs(),
+        w.count(RuntimeCounter::RejectedPolicy);
+        obs::emit(obs::EventKind::TaskReject, track, hostNowNs(),
                   g_nextTaskId.fetch_add(1, std::memory_order_relaxed),
                   static_cast<std::uint64_t>(cls), options_.tenant);
         return false;
     }
-    WorkerState &w = *workers_[static_cast<std::size_t>(worker)];
     auto task = std::make_unique<TaskRecord>();
     task->body = std::move(body);
     task->cls = cls;
     task->submitNs = hostNowNs();
     task->id = g_nextTaskId.fetch_add(1, std::memory_order_relaxed);
-    task->owner = static_cast<std::uint32_t>(worker);
+    task->owner = track;
     // Span anchor: end-to-end latency is measured from this record,
     // so span total == the sojourn payload on Complete, exactly.
-    obs::emitSpan(obs::EventKind::TaskSubmit,
-                  static_cast<std::uint32_t>(worker), task->submitNs,
+    obs::emitSpan(obs::EventKind::TaskSubmit, track, task->submitNs,
                   task->id, static_cast<std::uint64_t>(cls),
                   options_.tenant);
     if (deadlineIn != 0) {
@@ -123,13 +115,11 @@ PreemptibleRuntime::submitTo(int worker, std::function<void()> body,
         task->deadlineId = w.shard->schedule(
             task->deadlineAt,
             reinterpret_cast<std::uint64_t>(task.get()));
-        obs::emit(obs::EventKind::TimerArm,
-                  static_cast<std::uint32_t>(worker), task->submitNs,
+        obs::emit(obs::EventKind::TimerArm, track, task->submitNs,
                   task->id, task->deadlineAt);
     }
-    obs::emit(obs::EventKind::Dispatch,
-              static_cast<std::uint32_t>(worker), task->submitNs,
-              task->id, static_cast<std::uint64_t>(cls));
+    obs::emit(obs::EventKind::Dispatch, track, task->submitNs, task->id,
+              static_cast<std::uint64_t>(cls));
     bool pushed;
     {
         // SpscRing is single-producer; serialise submitters per worker.
@@ -139,22 +129,18 @@ PreemptibleRuntime::submitTo(int worker, std::function<void()> body,
     if (!pushed) {
         cancelDeadline(task.get()); // backpressure: revoke and reject
         // Close the span opened by TaskSubmit above.
-        obs::emitSpan(obs::EventKind::CancelRequest,
-                      static_cast<std::uint32_t>(worker), hostNowNs(),
+        obs::emitSpan(obs::EventKind::CancelRequest, track, hostNowNs(),
                       task->id);
         // Full-inbox backpressure is observable, never silent: a
         // first-class reject record plus a counter callers can poll.
-        rejectedFull_.fetch_add(1, std::memory_order_relaxed);
-        obs::addCount("runtime.submit.rejected_full");
-        obs::emit(obs::EventKind::TaskReject,
-                  static_cast<std::uint32_t>(worker), hostNowNs(),
-                  task->id, static_cast<std::uint64_t>(cls),
-                  options_.tenant);
+        w.count(RuntimeCounter::RejectedFull);
+        obs::emit(obs::EventKind::TaskReject, track, hostNowNs(), task->id,
+                  static_cast<std::uint64_t>(cls), options_.tenant);
         return false;
     }
     task.release(); // ownership passed to the worker
     inFlight_.fetch_add(1, std::memory_order_relaxed);
-    submitted_.fetch_add(1, std::memory_order_relaxed);
+    w.count(RuntimeCounter::Submitted);
     return true;
 }
 
@@ -180,7 +166,7 @@ PreemptibleRuntime::trySteal(int self)
     const int n = options_.nWorkers;
     if (!options_.stealing || n < 2)
         return nullptr;
-    WorkerState &me = *workers_[static_cast<std::size_t>(self)];
+    WorkerState &me = workerAt(self);
 
     // Draw a worker index other than self from this worker's stream.
     auto pick = [&]() {
@@ -192,8 +178,7 @@ PreemptibleRuntime::trySteal(int self)
 
     std::array<TaskRecord *, kMaxStealBatch> spoils;
     for (int round = 0; round < options_.stealRounds; ++round) {
-        stealAttempts_.fetch_add(1, std::memory_order_relaxed);
-        obs::addCount("runtime.steal.attempt");
+        me.count(RuntimeCounter::StealAttempts);
 
         // Two-choice: probe two distinct victims, raid the longer one.
         int v1 = pick();
@@ -210,25 +195,19 @@ PreemptibleRuntime::trySteal(int self)
                     break;
                 }
             }
-            std::size_t s1 =
-                workers_[static_cast<std::size_t>(v1)]->ready.size();
-            std::size_t s2 =
-                workers_[static_cast<std::size_t>(v2)]->ready.size();
-            victim = s1 >= s2 ? v1 : v2;
+            victim = workerAt(v1).ready.size() >= workerAt(v2).ready.size()
+                         ? v1
+                         : v2;
         }
 
         StealResult last = StealResult::Empty;
-        std::size_t got =
-            workers_[static_cast<std::size_t>(victim)]->ready.stealBatch(
-                spoils.data(), options_.stealBatch, &last);
-        if (last == StealResult::Abort) {
-            stealAborts_.fetch_add(1, std::memory_order_relaxed);
-            obs::addCount("runtime.steal.abort");
-        }
+        std::size_t got = workerAt(victim).ready.stealBatch(
+            spoils.data(), options_.stealBatch, &last);
+        if (last == StealResult::Abort)
+            me.count(RuntimeCounter::StealAborts);
         if (got == 0)
             continue;
-        stealHits_.fetch_add(got, std::memory_order_relaxed);
-        obs::addCount("runtime.steal.hit", got);
+        me.count(RuntimeCounter::StealHits, got);
         obs::emit(obs::EventKind::Steal,
                   static_cast<std::uint32_t>(self), hostNowNs(), got,
                   static_cast<std::uint64_t>(victim));
@@ -251,8 +230,7 @@ PreemptibleRuntime::migrateTask(TaskRecord *task, int to)
     int from = static_cast<int>(task->owner);
     if (from == to)
         return;
-    migrations_.fetch_add(1, std::memory_order_relaxed);
-    obs::addCount("runtime.migrations");
+    workerAt(to).count(RuntimeCounter::Migrations);
     obs::emitSpan(obs::EventKind::TaskMigrate,
                   static_cast<std::uint32_t>(to), hostNowNs(), task->id,
                   static_cast<std::uint64_t>(from),
@@ -261,13 +239,9 @@ PreemptibleRuntime::migrateTask(TaskRecord *task, int to)
         // Move the pending deadline to the adopting worker's shard.
         // cancel() false means the fire callback already ran (fully,
         // under the shard mutex) — nothing left to move.
-        WheelShard &fromShard =
-            *workers_[static_cast<std::size_t>(from)]->shard;
-        if (fromShard.cancel(task->deadlineId)) {
-            task->deadlineId =
-                workers_[static_cast<std::size_t>(to)]->shard->schedule(
-                    task->deadlineAt,
-                    reinterpret_cast<std::uint64_t>(task));
+        if (workerAt(from).shard->cancel(task->deadlineId)) {
+            task->deadlineId = workerAt(to).shard->schedule(
+                task->deadlineAt, reinterpret_cast<std::uint64_t>(task));
         } else {
             task->deadlineId = 0;
         }
@@ -299,8 +273,7 @@ void
 PreemptibleRuntime::dropTask(int worker, std::unique_ptr<TaskRecord> task)
 {
     cancelDeadline(task.get());
-    expiredDrops_.fetch_add(1, std::memory_order_relaxed);
-    obs::addCount("runtime.expired_drops");
+    workerAt(worker).count(RuntimeCounter::ExpiredDrops);
     TimeNs now = hostNowNs();
     obs::emitSpan(obs::EventKind::CancelRequest,
                   static_cast<std::uint32_t>(worker), now, task->id,
@@ -312,7 +285,7 @@ void
 PreemptibleRuntime::workerMain(int index)
 {
     WorkerContext &ctx = workerInit(timer_);
-    WorkerState &w = *workers_[static_cast<std::size_t>(index)];
+    WorkerState &w = workerAt(index);
 
     for (;;) {
         // Policy #1: new tasks take priority over preempted ones, and
@@ -357,10 +330,7 @@ PreemptibleRuntime::workerMain(int index)
         }
     }
 
-    {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        staleSignals_ += ctx.staleSignals;
-    }
+    w.count(RuntimeCounter::StaleSignals, ctx.staleSignals);
     workerShutdown();
 }
 
@@ -370,7 +340,7 @@ PreemptibleRuntime::runTask(int worker, std::unique_ptr<TaskRecord> task)
     FnStatus status;
     TimeNs slice = quantum_.load(std::memory_order_relaxed);
     std::uint32_t track = static_cast<std::uint32_t>(worker);
-    WorkerState &w = *workers_[static_cast<std::size_t>(worker)];
+    WorkerState &w = workerAt(worker);
     bool fresh = !task->fn;
     if (options_.dropExpired && fresh && deadlineHopeless(task.get())) {
         // SLO already hopeless: never launch (section III-B).
@@ -402,21 +372,20 @@ PreemptibleRuntime::runTask(int worker, std::unique_ptr<TaskRecord> task)
         obs::recordTimerPerCore("runtime.sojourn_ns",
                                 static_cast<unsigned>(worker), sojourn);
         {
-            std::lock_guard<std::mutex> lock(statsMutex_);
-            (task->cls == 0 ? lcLatency_ : beLatency_).record(sojourn);
+            std::lock_guard<std::mutex> lock(w.latencyMutex);
+            (task->cls == 0 ? w.lcLatency : w.beLatency).record(sojourn);
         }
-        completed_.fetch_add(1, std::memory_order_relaxed);
+        w.count(RuntimeCounter::Completed);
         inFlight_.fetch_sub(1, std::memory_order_release);
         return;
     }
 
     // Preempted or yielded.
-    preemptions_.fetch_add(1, std::memory_order_relaxed);
+    w.count(RuntimeCounter::Preemptions);
     TimeNs preemptNs = hostNowNs();
     w.lastPreemptNs.store(preemptNs, std::memory_order_relaxed);
     obs::emitSpan(obs::EventKind::Preempt, track, preemptNs, task->id,
                   slice);
-    obs::addCount("runtime.preemptions");
     if (options_.dropExpired && deadlineHopeless(task.get())) {
         // Expired mid-run: release the stack instead of finishing.
         fn_cancel(*task->fn);
@@ -456,27 +425,24 @@ PreemptibleRuntime::shutdown()
     for (auto &w : workers_)
         timer_.unregisterWheel(w->shard.get());
     timer_.shutdown();
+    // Final pass into the process registry (all counts when no
+    // publisher ran), so a --metrics-out dump lists every counter.
+    if (obs::MetricsRegistry *registry = obs::metricsRegistry())
+        sampleTelemetry(*registry);
 }
 
 RuntimeStats
 PreemptibleRuntime::stats() const
 {
     RuntimeStats s;
-    s.submitted = submitted_.load();
-    s.completed = completed_.load();
-    s.rejectedFull = rejectedFull_.load();
-    s.rejectedPolicy = rejectedPolicy_.load();
-    s.preemptions = preemptions_.load();
-    s.stealAttempts = stealAttempts_.load();
-    s.stealHits = stealHits_.load();
-    s.stealAborts = stealAborts_.load();
-    s.migrations = migrations_.load();
-    s.deadlineFires = deadlineFires_.load();
-    s.expiredDrops = expiredDrops_.load();
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    s.staleSignals = staleSignals_;
-    s.lcLatency = lcLatency_;
-    s.beLatency = beLatency_;
+    for (const auto &w : workers_) {
+        for (std::size_t c = 0; c < kNumRuntimeCounters; ++c)
+            s.*kRuntimeCounters[c].field +=
+                w->counts[c].value.load(std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(w->latencyMutex);
+        s.lcLatency.merge(w->lcLatency);
+        s.beLatency.merge(w->beLatency);
+    }
     return s;
 }
 
@@ -486,7 +452,7 @@ PreemptibleRuntime::throughputRps() const
     TimeNs elapsed = hostNowNs() - startedAt_;
     if (elapsed == 0)
         return 0;
-    return static_cast<double>(completed_.load()) / nsToSec(elapsed);
+    return static_cast<double>(stats().completed) / nsToSec(elapsed);
 }
 
 std::size_t
@@ -500,65 +466,54 @@ void
 PreemptibleRuntime::sampleTelemetry(obs::MetricsRegistry &r)
 {
     TimeNs now = hostNowNs();
-    std::string prefix = "runtime";
-    if (options_.tenant != 0)
-        prefix += "/t" + std::to_string(options_.tenant);
+    auto age = [now](TimeNs then) {
+        return then != 0 && now > then
+                   ? static_cast<std::int64_t>(now - then)
+                   : std::int64_t{-1};
+    };
 
+    auto gauge = [&](const char *base, int worker = -1) -> obs::Gauge & {
+        return r.gauge(obs::scopedMetricName(base, options_.tenant, worker));
+    };
     for (int i = 0; i < options_.nWorkers; ++i) {
-        WorkerState &w = *workers_[static_cast<std::size_t>(i)];
-        std::string suffix =
-            (options_.tenant != 0
-                 ? "/t" + std::to_string(options_.tenant) + ".w"
-                 : "/w") +
-            std::to_string(i);
-        r.gauge("runtime.worker.current_task" + suffix)
+        WorkerState &w = workerAt(i);
+        gauge("runtime.worker.current_task", i)
             .set(w.currentTask.load(std::memory_order_relaxed));
-        r.gauge("runtime.worker.deque_depth" + suffix)
+        gauge("runtime.worker.deque_depth", i)
             .set(static_cast<std::int64_t>(w.ready.size()));
-        r.gauge("runtime.worker.inbox_depth" + suffix)
+        gauge("runtime.worker.inbox_depth", i)
             .set(static_cast<std::int64_t>(w.inbox.size()));
-        r.gauge("runtime.worker.shard_depth" + suffix)
+        gauge("runtime.worker.shard_depth", i)
             .set(static_cast<std::int64_t>(w.shard->depth()));
-        TimeNs lp = w.lastPreemptNs.load(std::memory_order_relaxed);
-        r.gauge("runtime.worker.last_preempt_age_ns" + suffix)
-            .set(lp != 0 && now > lp
-                     ? static_cast<std::int64_t>(now - lp)
-                     : -1);
+        gauge("runtime.worker.last_preempt_age_ns", i)
+            .set(age(w.lastPreemptNs.load(std::memory_order_relaxed)));
     }
-
-    r.gauge(prefix + ".long_queue.depth")
+    gauge("runtime.long_queue.depth")
         .set(static_cast<std::int64_t>(longQueueLen()));
-    r.gauge(prefix + ".quantum_ns")
-        .set(static_cast<std::int64_t>(quantum()));
-    r.gauge(prefix + ".in_flight")
+    gauge("runtime.quantum_ns").set(static_cast<std::int64_t>(quantum()));
+    gauge("runtime.in_flight")
         .set(static_cast<std::int64_t>(
             inFlight_.load(std::memory_order_relaxed)));
-    TimeNs lf = timer_.lastFireNs();
-    r.gauge(prefix + ".timer.last_fire_age_ns")
-        .set(lf != 0 && now > lf ? static_cast<std::int64_t>(now - lf)
-                                 : -1);
+    gauge("runtime.timer.last_fire_age_ns").set(age(timer_.lastFireNs()));
 
     // Cumulative counts as true counters: each pass adds the delta
-    // since the last one (single publisher thread; no races).
-    auto bump = [&r](const std::string &name, std::uint64_t total,
-                     std::uint64_t &prev) {
-        if (total > prev)
-            r.counter(name).add(total - prev);
-        prev = total;
-    };
-    bump(prefix + ".submitted", submitted_.load(), publishedSubmitted_);
-    bump(prefix + ".completed", completed_.load(), publishedCompleted_);
-    bump(prefix + ".rejected_full", rejectedFull_.load(),
-         publishedRejectedFull_);
-    bump(prefix + ".rejected_policy", rejectedPolicy_.load(),
-         publishedRejectedPolicy_);
-    bump(prefix + ".preempted", preemptions_.load(),
-         publishedPreemptions_);
-    bump(prefix + ".timer.fires", timer_.firesTotal(),
-         publishedTimerFires_);
-    bump(prefix + ".timer.wheel_fires", timer_.wheelFiresTotal(),
-         publishedWheelFires_);
-    bump(prefix + ".timer.scans", timer_.scans(), publishedScans_);
+    // since the last one. Zero counts are published too, so every
+    // scrape lists the same families.
+    RuntimeStats s = stats();
+    const std::uint64_t timerTotals[] = {
+        timer_.firesTotal(), timer_.wheelFiresTotal(), timer_.scans()};
+    for (std::size_t c = 0; c < published_.size(); ++c) {
+        bool shard = c < kNumRuntimeCounters;
+        std::size_t t = c - kNumRuntimeCounters; // past the shard counts
+        std::uint64_t value =
+            shard ? s.*kRuntimeCounters[c].field : timerTotals[t];
+        std::string name = std::string("runtime.") +
+                           (shard ? kRuntimeCounters[c].name
+                                  : kTimerCounterNames[t]);
+        r.counter(obs::scopedMetricName(name, options_.tenant))
+            .add(value - published_[c]);
+        published_[c] = value;
+    }
 }
 
 } // namespace preempt::runtime

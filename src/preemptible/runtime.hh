@@ -31,6 +31,7 @@
 #ifndef PREEMPT_PREEMPTIBLE_RUNTIME_HH
 #define PREEMPT_PREEMPTIBLE_RUNTIME_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -77,7 +78,8 @@ struct TaskRecord
     std::atomic<bool> deadlineExpired{false};
 };
 
-/** Aggregated runtime statistics. */
+/** Aggregated runtime statistics: a view over the per-worker counter
+ *  shards, summed (histograms merged) by PreemptibleRuntime::stats(). */
 struct RuntimeStats
 {
     std::uint64_t submitted = 0;
@@ -95,6 +97,41 @@ struct RuntimeStats
     LatencyHistogram lcLatency; ///< sojourn time of class-0 tasks (ns)
     LatencyHistogram beLatency; ///< sojourn time of class-1 tasks (ns)
 };
+
+/** The runtime's event counts; indexes kRuntimeCounters. */
+enum class RuntimeCounter : std::size_t
+{
+    Submitted, Completed, RejectedFull, RejectedPolicy, Preemptions,
+    StaleSignals, StealAttempts, StealHits, StealAborts, Migrations,
+    DeadlineFires, ExpiredDrops
+};
+
+/** One count's RuntimeStats field and metric name, published as
+ *  runtime.<name> (runtime.<name>/tN for tenant N). */
+struct RuntimeCounterDef
+{
+    const char *name;
+    std::uint64_t RuntimeStats::*field;
+};
+
+inline constexpr RuntimeCounterDef kRuntimeCounters[] = {
+    {"submitted", &RuntimeStats::submitted},
+    {"completed", &RuntimeStats::completed},
+    {"rejected_full", &RuntimeStats::rejectedFull},
+    {"rejected_policy", &RuntimeStats::rejectedPolicy},
+    {"preempted", &RuntimeStats::preemptions},
+    {"stale_signals", &RuntimeStats::staleSignals},
+    {"steal.attempt", &RuntimeStats::stealAttempts},
+    {"steal.hit", &RuntimeStats::stealHits},
+    {"steal.abort", &RuntimeStats::stealAborts},
+    {"migrations", &RuntimeStats::migrations},
+    {"deadline.fires", &RuntimeStats::deadlineFires},
+    {"expired_drops", &RuntimeStats::expiredDrops},
+};
+
+inline constexpr std::size_t kNumRuntimeCounters =
+    static_cast<std::size_t>(RuntimeCounter::ExpiredDrops) + 1;
+static_assert(std::size(kRuntimeCounters) == kNumRuntimeCounters);
 
 /** The runtime object (one per process is typical). */
 class PreemptibleRuntime
@@ -220,7 +257,7 @@ class PreemptibleRuntime
     /** A worker's deadline wheel shard (for depth inspection). */
     const WheelShard &wheelShard(int worker) const
     {
-        return *workers_[static_cast<std::size_t>(worker)]->shard;
+        return *workerAt(worker).shard;
     }
 
   private:
@@ -252,8 +289,32 @@ class PreemptibleRuntime
         std::atomic<std::int64_t> currentTask{-1}; ///< task id, -1 idle
         std::atomic<TimeNs> lastPreemptNs{0};      ///< last preempt time
 
+        // Counter shard: this worker's share of every RuntimeStats
+        // count, bumped by whichever thread acts for the worker. One
+        // cache line per count, or a submitter's Submitted would bounce
+        // the line the worker's Completed lives on.
+        struct alignas(kCacheLine) PaddedCount
+        {
+            std::atomic<std::uint64_t> value{0};
+        };
+        std::array<PaddedCount, kNumRuntimeCounters> counts;
+        mutable std::mutex latencyMutex; ///< guards the two histograms
+        LatencyHistogram lcLatency;
+        LatencyHistogram beLatency;
+
+        void count(RuntimeCounter c, std::uint64_t n = 1)
+        {
+            counts[static_cast<std::size_t>(c)].value.fetch_add(
+                n, std::memory_order_relaxed);
+        }
+
         std::thread thread;
     };
+
+    WorkerState &workerAt(int i) const
+    {
+        return *workers_[static_cast<std::size_t>(i)];
+    }
 
     void workerMain(int index);
 
@@ -277,52 +338,35 @@ class PreemptibleRuntime
     bool deadlineHopeless(const TaskRecord *task) const;
     void dropTask(int worker, std::unique_ptr<TaskRecord> task);
 
-    /** Telemetry sampler body: publish live per-worker scheduler
-     *  state into the publisher's registry (publisher thread). */
+    /** Publish live per-worker scheduler state and every counter's
+     *  delta into @p registry (publisher thread, then shutdown()). */
     void sampleTelemetry(obs::MetricsRegistry &registry);
 
     Options options_;
     UTimer timer_;
     std::atomic<TimeNs> quantum_;
     std::atomic<bool> stopping_{false};
-    std::atomic<std::uint64_t> submitted_{0};
-    std::atomic<std::uint64_t> completed_{0};
-    std::atomic<std::uint64_t> rejectedFull_{0};
-    std::atomic<std::uint64_t> rejectedPolicy_{0};
-    std::atomic<std::uint64_t> preemptions_{0};
     std::atomic<std::uint64_t> inFlight_{0};
     std::atomic<std::uint64_t> rrNext_{0};
-    std::atomic<std::uint64_t> stealAttempts_{0};
-    std::atomic<std::uint64_t> stealHits_{0};
-    std::atomic<std::uint64_t> stealAborts_{0};
-    std::atomic<std::uint64_t> migrations_{0};
-    std::atomic<std::uint64_t> deadlineFires_{0};
-    std::atomic<std::uint64_t> expiredDrops_{0};
     TimeNs startedAt_;
 
     /** Telemetry sampler registration (0 = none). */
     std::uint64_t samplerId_ = 0;
 
-    // Cumulative values already pushed into sampler counters, so each
-    // sampler pass adds only the delta (publisher thread only).
-    std::uint64_t publishedSubmitted_ = 0;
-    std::uint64_t publishedCompleted_ = 0;
-    std::uint64_t publishedRejectedFull_ = 0;
-    std::uint64_t publishedRejectedPolicy_ = 0;
-    std::uint64_t publishedPreemptions_ = 0;
-    std::uint64_t publishedTimerFires_ = 0;
-    std::uint64_t publishedWheelFires_ = 0;
-    std::uint64_t publishedScans_ = 0;
+    /** UTimer totals, published after the kRuntimeCounters. */
+    static constexpr const char *kTimerCounterNames[] = {
+        "timer.fires", "timer.wheel_fires", "timer.scans"};
+
+    /** Totals already pushed into registry counters, so each
+     *  sampleTelemetry pass adds only the delta. */
+    std::array<std::uint64_t,
+               kNumRuntimeCounters + std::size(kTimerCounterNames)>
+        published_{};
 
     std::vector<std::unique_ptr<WorkerState>> workers_;
 
     mutable std::mutex longMutex_;
     std::deque<std::unique_ptr<TaskRecord>> longQueue_;
-
-    mutable std::mutex statsMutex_;
-    LatencyHistogram lcLatency_;
-    LatencyHistogram beLatency_;
-    std::uint64_t staleSignals_ = 0;
 };
 
 } // namespace preempt::runtime

@@ -3,25 +3,21 @@
  * Bounded lock-free work-stealing deque (Chase-Lev) for the real
  * runtime's per-worker ready queues.
  *
- * One owner thread pushes and pops at the bottom (LIFO — the newest
- * task is the cache-warm one); any number of thief threads steal from
- * the top (FIFO — the oldest task is the one most worth rebalancing).
- * The buffer is fixed-capacity: push reports failure instead of
- * growing, which is the backpressure contract the runtime's submit
- * path already exposes.
+ * One owner thread pushes at the bottom. Every consumer takes from
+ * the top with steal(), FIFO: the owner taking its own oldest task
+ * (the runtime dispatches oldest first) as well as any number of
+ * thieves. There is no owner-side LIFO pop. The buffer is
+ * fixed-capacity: push reports failure instead of growing, which is
+ * the backpressure contract the runtime's submit path already exposes.
  *
  * Memory ordering follows the C11 formulation of Chase-Lev from
  * Lê/Pop/Cohen/Nardelli, "Correct and Efficient Work-Stealing for
- * Weak Memory Models" (PPoPP'13): the owner's pop uses a seq_cst
- * fence against concurrent steals; a steal claims its element with a
+ * Weak Memory Models" (PPoPP'13): a steal claims its element with a
  * seq_cst compare_exchange on top.
  *
  * Batched stealing (stealBatch) is a loop of single-element steals,
- * NOT one CAS of top += n: between reading elements [top, top+n) and
- * publishing the claim, the owner may pop those same slots from the
- * bottom without ever touching top, so a multi-element claim can
- * double-run tasks. One CAS per element keeps each claim mutually
- * exclusive with the owner's bottom==top race path.
+ * each its own CAS on top, so a batch stops at the first element lost
+ * to another consumer and leaves a contended victim alone quickly.
  */
 
 #ifndef PREEMPT_PREEMPTIBLE_STEAL_DEQUE_HH
@@ -88,38 +84,7 @@ class StealDeque
         return true;
     }
 
-    /** Owner only: take the newest element (LIFO). */
-    bool
-    pop(T &out)
-    {
-        std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-        bottom_.store(b, std::memory_order_relaxed);
-        // The store to bottom must be visible to thieves before we read
-        // top, or a thief and the owner could both claim the last slot.
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        std::int64_t t = top_.load(std::memory_order_relaxed);
-        if (t > b) {
-            // Already empty; restore.
-            bottom_.store(b + 1, std::memory_order_relaxed);
-            return false;
-        }
-        out = buf_[static_cast<std::size_t>(b) & mask_].load(
-            std::memory_order_relaxed);
-        if (t == b) {
-            // Last element: race the thieves for it via top.
-            if (!top_.compare_exchange_strong(
-                    t, t + 1, std::memory_order_seq_cst,
-                    std::memory_order_relaxed)) {
-                // A thief won; the deque is empty.
-                bottom_.store(b + 1, std::memory_order_relaxed);
-                return false;
-            }
-            bottom_.store(b + 1, std::memory_order_relaxed);
-        }
-        return true;
-    }
-
-    /** Thief: claim the oldest element (FIFO). */
+    /** Any thread: claim the oldest element (FIFO). */
     StealResult
     steal(T &out)
     {

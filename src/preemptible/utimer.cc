@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "preemptible/hosttime.hh"
 
@@ -118,19 +117,12 @@ UTimer::timerLoop()
         // next-fire hint into the nap decision.
         {
             std::lock_guard<std::mutex> lock(wheelsMutex_);
-            bool sampleDepth =
-                (scans_.load(std::memory_order_relaxed) & 63) == 0;
             for (WheelShard *shard : wheels_) {
                 std::uint64_t before = shard->fires();
                 shard->advance(now);
                 wheelFiresTotal_.fetch_add(shard->fires() - before,
                                            std::memory_order_relaxed);
                 soonest = std::min(soonest, shard->earliestHint());
-                if (sampleDepth && !shard->depthGauge.empty()) {
-                    obs::setGauge(shard->depthGauge.c_str(),
-                                  static_cast<std::int64_t>(
-                                      shard->depth()));
-                }
             }
         }
 

@@ -23,7 +23,6 @@
 #include <functional>
 #include <mutex>
 #include <pthread.h>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -137,10 +136,6 @@ class WheelShard
     {
         return earliestHint_.load(std::memory_order_relaxed);
     }
-
-    /** Metrics gauge periodically updated with the shard's depth by
-     *  the timer thread; "" = not published. Set before registering. */
-    std::string depthGauge;
 
   private:
     friend class UTimer;

@@ -274,9 +274,7 @@ overloadSnapshot(std::uint64_t seq, std::uint32_t tenant)
     ts.window.queued.p99 = 50 * 1000 * 1000;
     snap.spans.push_back(ts);
     obs::TelemetrySnapshot::GaugeSample g;
-    g.name = tenant == 0 ? "runtime.in_flight"
-                         : "runtime/t" + std::to_string(tenant) +
-                               ".in_flight";
+    g.name = obs::scopedMetricName("runtime.in_flight", tenant);
     g.value = 1000;
     snap.gauges.push_back(g);
     return snap;

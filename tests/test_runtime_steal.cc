@@ -3,7 +3,8 @@
  * Work stealing and sharded per-task deadlines in PreemptibleRuntime:
  * rebalancing of skewed submissions, task conservation under steals
  * (none lost, none run twice), exactly-once deadline firing across
- * migrations, the expired-drop policy, and oldest-first dispatch.
+ * migrations, the expired-drop policy, oldest-first dispatch, and the
+ * published counters as a view of stats().
  *
  * StealStress.* doubles as the multi-worker stress target the
  * sanitizer CI jobs run explicitly.
@@ -12,9 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hh"
+#include "obs/telemetry.hh"
 #include "preemptible/hosttime.hh"
 #include "preemptible/runtime.hh"
 
@@ -245,6 +251,109 @@ TEST(RuntimeDispatch, QueuedTasksStartInSubmitOrder)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i)
             << "task " << i << " did not start in submit order";
     rt.shutdown();
+}
+
+std::map<std::string, std::uint64_t>
+counterValues(const obs::MetricsRegistry &reg)
+{
+    auto v = reg.snapshotValues();
+    return {v.counters.begin(), v.counters.end()};
+}
+
+/** Every kRuntimeCounters entry is published as runtime.<name>/t1 with
+ *  exactly its stats() value. */
+void
+expectRegistryMatchesStats(const obs::MetricsRegistry &reg,
+                           const RuntimeStats &s)
+{
+    auto counters = counterValues(reg);
+    for (const RuntimeCounterDef &def : kRuntimeCounters) {
+        std::string name =
+            obs::scopedMetricName(std::string("runtime.") + def.name, 1);
+        auto it = counters.find(name);
+        ASSERT_NE(it, counters.end()) << name << " was never published";
+        EXPECT_EQ(it->second, s.*def.field) << name;
+    }
+    for (const char *timer :
+         {"runtime.timer.fires/t1", "runtime.timer.wheel_fires/t1",
+          "runtime.timer.scans/t1"})
+        EXPECT_EQ(counters.count(timer), 1u) << timer;
+}
+
+/** Skewed submits into a small inbox, a quarter of them with an
+ *  already-hopeless deadline: steals, full-inbox rejections and
+ *  expired drops all happen. */
+void
+runSkewedChurn(PreemptibleRuntime &rt, const std::function<void()> &mid)
+{
+    constexpr int kTasks = 64;
+    for (int i = 0; i < kTasks; ++i) {
+        TimeNs deadline = i % 4 == 0 ? 1 : 0;
+        while (!rt.submitTo(0, [] { spinFor(usToNs(100)); }, 0, deadline))
+            std::this_thread::yield();
+        if (i % (kTasks / 2) == kTasks / 2 - 1)
+            mid();
+    }
+    rt.quiesce();
+}
+
+PreemptibleRuntime::Options
+counterOptions()
+{
+    auto opt = stealOptions(2);
+    opt.tenant = 1;
+    opt.queueCapacity = 8;
+    opt.dropExpired = true;
+    return opt;
+}
+
+#ifndef PREEMPT_OBS_DISABLED
+
+/**
+ * The registry is a view of stats(): each sampler pass adds only the
+ * delta since the last, the shutdown pass adds the rest, and every
+ * name follows runtime.<name>/tN (never the runtime/tN.<name> spelling,
+ * whose suffix the Prometheus renderer split into repeated labels).
+ */
+TEST(RuntimeCounters, RegistryIsAViewOfStats)
+{
+    obs::MetricsRegistry reg;
+    obs::ScopedThreadMetricsRegistry installed(&reg);
+    obs::TelemetryPublisher pub(&reg, nullptr, {});
+    PreemptibleRuntime rt(counterOptions());
+    runSkewedChurn(rt, [&] { pub.tickNow(); });
+    rt.shutdown();
+    pub.tickNow();
+
+    RuntimeStats s = rt.stats();
+    ASSERT_GT(s.stealHits, 0u);
+    ASSERT_GT(s.rejectedFull, 0u);
+    ASSERT_GT(s.expiredDrops, 0u);
+    expectRegistryMatchesStats(reg, s);
+
+    auto snap = reg.snapshotValues();
+    for (const auto &c : snap.counters)
+        EXPECT_NE(c.first.rfind("runtime/t1.", 0), 0u) << c.first;
+    for (const auto &g : snap.gauges)
+        EXPECT_NE(g.first.rfind("runtime/t1.", 0), 0u) << g.first;
+
+    auto before = counterValues(reg);
+    pub.tickNow();
+    EXPECT_EQ(counterValues(reg), before) << "a repeated tick added counts";
+}
+
+#endif // !PREEMPT_OBS_DISABLED
+
+/** With a registry installed but no publisher ticking, shutdown()
+ *  still publishes every counter (a --metrics-out-only run). */
+TEST(RuntimeCounters, ShutdownPublishesWithoutPublisher)
+{
+    obs::MetricsRegistry reg;
+    obs::ScopedThreadMetricsRegistry installed(&reg);
+    PreemptibleRuntime rt(counterOptions());
+    runSkewedChurn(rt, [] {});
+    rt.shutdown();
+    expectRegistryMatchesStats(reg, rt.stats());
 }
 
 /**

@@ -2,7 +2,7 @@
  * @file
  * StealDeque: deterministic single-thread semantics plus an
  * owner-vs-thieves conservation stress (no element lost, none taken
- * twice).
+ * twice). Owner and thieves alike consume with steal().
  */
 
 #include <atomic>
@@ -27,21 +27,6 @@ TEST(StealDeque, CapacityRoundsUpToPowerOfTwo)
     EXPECT_EQ(StealDeque<std::uint64_t>(100).capacity(), 128u);
 }
 
-TEST(StealDeque, OwnerPopsLifo)
-{
-    StealDeque<std::uint64_t> dq(8);
-    for (std::uint64_t i = 0; i < 5; ++i)
-        ASSERT_TRUE(dq.push(i));
-    EXPECT_EQ(dq.size(), 5u);
-    std::uint64_t v = 0;
-    for (std::uint64_t i = 5; i-- > 0;) {
-        ASSERT_TRUE(dq.pop(v));
-        EXPECT_EQ(v, i);
-    }
-    EXPECT_FALSE(dq.pop(v));
-    EXPECT_TRUE(dq.empty());
-}
-
 TEST(StealDeque, ThiefStealsFifo)
 {
     StealDeque<std::uint64_t> dq(8);
@@ -52,24 +37,6 @@ TEST(StealDeque, ThiefStealsFifo)
         ASSERT_EQ(dq.steal(v), StealResult::Ok);
         EXPECT_EQ(v, i);
     }
-    EXPECT_EQ(dq.steal(v), StealResult::Empty);
-}
-
-TEST(StealDeque, OwnerAndThiefMeetInTheMiddle)
-{
-    StealDeque<std::uint64_t> dq(8);
-    for (std::uint64_t i = 0; i < 4; ++i)
-        ASSERT_TRUE(dq.push(i));
-    std::uint64_t v = 0;
-    ASSERT_EQ(dq.steal(v), StealResult::Ok); // oldest
-    EXPECT_EQ(v, 0u);
-    ASSERT_TRUE(dq.pop(v)); // newest
-    EXPECT_EQ(v, 3u);
-    ASSERT_EQ(dq.steal(v), StealResult::Ok);
-    EXPECT_EQ(v, 1u);
-    ASSERT_TRUE(dq.pop(v)); // last element, owner wins unraced
-    EXPECT_EQ(v, 2u);
-    EXPECT_FALSE(dq.pop(v));
     EXPECT_EQ(dq.steal(v), StealResult::Empty);
 }
 
@@ -89,15 +56,19 @@ TEST(StealDeque, WrapAroundPreservesOrder)
 {
     StealDeque<std::uint64_t> dq(4);
     std::uint64_t v = 0;
-    // Cycle far past the buffer size so indices wrap many times.
+    // Keep three elements queued and cycle far past the buffer size so
+    // indices wrap many times. The owner consumes with steal(), as the
+    // runtime does, and always gets the oldest.
     for (std::uint64_t i = 0; i < 64; ++i) {
         ASSERT_TRUE(dq.push(i));
-        if (i % 2 == 0) {
-            ASSERT_TRUE(dq.pop(v));
-            EXPECT_EQ(v, i);
-        } else {
+        if (i >= 2) {
             ASSERT_EQ(dq.steal(v), StealResult::Ok);
+            EXPECT_EQ(v, i - 2);
         }
+    }
+    for (std::uint64_t i = 62; i < 64; ++i) {
+        ASSERT_EQ(dq.steal(v), StealResult::Ok);
+        EXPECT_EQ(v, i);
     }
     EXPECT_TRUE(dq.empty());
 }
@@ -122,9 +93,10 @@ TEST(StealDeque, BatchTakesOldestFirstAndStopsAtEmpty)
 }
 
 /**
- * Conservation under contention: one owner pushing and popping, many
- * thieves stealing. Every pushed value must be consumed exactly once
- * across all parties.
+ * Conservation under contention: one owner pushing and consuming its
+ * own oldest elements with steal() (as the runtime's dispatch does),
+ * many thieves stealing. Every pushed value must be consumed exactly
+ * once across all parties.
  */
 TEST(StealDequeStress, OwnerAndThievesConserveElements)
 {
@@ -160,14 +132,17 @@ TEST(StealDequeStress, OwnerAndThievesConserveElements)
     std::uint64_t v = 0;
     for (std::uint64_t i = 0; i < kN; ++i) {
         while (!dq.push(i)) {
-            if (dq.pop(v))
-                consume(v); // full: drain our own bottom
+            if (dq.steal(v) == StealResult::Ok)
+                consume(v); // full: take our own oldest
         }
-        if ((i & 7) == 0 && dq.pop(v))
-            consume(v); // interleave owner pops with pushes
+        if ((i & 7) == 0 && dq.steal(v) == StealResult::Ok)
+            consume(v); // interleave owner takes with pushes
     }
-    while (dq.pop(v))
-        consume(v);
+    StealResult r;
+    while ((r = dq.steal(v)) != StealResult::Empty) {
+        if (r == StealResult::Ok)
+            consume(v);
+    }
     ownerDone.store(true, std::memory_order_release);
     for (auto &th : thieves)
         th.join();

@@ -22,7 +22,10 @@ Two schema-pinned modes validate the live-telemetry artifacts:
   --prometheus FILE  a /metrics scrape (Prometheus text exposition):
                      every family has exactly one # TYPE line, and
                      all of its samples follow it in one contiguous
-                     run (a summary's _sum/_count included)
+                     run (a summary's _sum/_count included); no
+                     sample repeats a label name, and no family mixes
+                     tenant-labelled samples with unlabelled ones (a
+                     sum over the family would count a tenant twice)
 
 A third pinned mode validates the admission-control overload sweep:
 
@@ -45,6 +48,7 @@ Usage: check_bench_json.py GENERATED REFERENCE
 
 import json
 import math
+import re
 import sys
 
 
@@ -238,10 +242,31 @@ def check_spans(path):
           f"{len(doc['tenants'])} tenants, 0 invariant violations)")
 
 
+LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\\n]|\\.)*)",?')
+
+
+def sample_labels(where, line):
+    """The label names of one sample line, in order."""
+    if "{" not in line.split(" ", 1)[0]:
+        return []
+    pos = line.index("{") + 1
+    names = []
+    while pos < len(line) and line[pos] != "}":
+        m = LABEL.match(line, pos)
+        if not m:
+            fail(where, f"malformed labels in '{line}'")
+        names.append(m.group(1))
+        pos = m.end()
+    if pos >= len(line):
+        fail(where, f"unterminated labels in '{line}'")
+    return names
+
+
 def check_prometheus(path):
     types = {}
     current = None
     samples = 0
+    tenanted = {}  # family -> {has a tenant label?}
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -270,8 +295,16 @@ def check_prometheus(path):
             if family != current:
                 fail(where, f"sample '{name}' is outside the run of "
                             f"its family (current: '{current}')")
+            labels = sample_labels(where, line)
+            repeated = sorted({n for n in labels if labels.count(n) > 1})
+            if repeated:
+                fail(where, f"sample '{name}' repeats label(s) {repeated}")
+            tenanted.setdefault(family, set()).add("tenant" in labels)
     if samples == 0:
         fail(path, "no samples")
+    mixed = sorted(f for f, seen in tenanted.items() if len(seen) > 1)
+    if mixed:
+        fail(path, f"families with and without a tenant label: {mixed}")
     print(f"{path}: Prometheus exposition OK ({len(types)} families, "
           f"{samples} samples)")
 
