@@ -16,6 +16,18 @@
 using namespace preempt;
 using preempt::bench::RunSpec;
 
+namespace {
+
+/** The spec with its floor and mean jitter scaled (std unchanged). */
+hw::JitterSpec
+scaled(const hw::JitterSpec &j, double scale)
+{
+    return hw::JitterSpec{j.floorNs() * scale, j.meanNs() * scale,
+                          j.stdNs()};
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
@@ -32,12 +44,10 @@ main(int argc, char **argv)
                   "tail gap"});
     for (double scale : {0.5, 1.0, 2.0, 4.0}) {
         hw::LatencyConfig cfg;
-        cfg.uintrRunning.floorNs *= scale;
-        cfg.uintrRunning.meanNs *= scale;
+        cfg.uintrRunning = scaled(cfg.uintrRunning, scale);
         cfg.senduipiCost = static_cast<TimeNs>(
             static_cast<double>(cfg.senduipiCost) * scale);
-        cfg.postedIpiDelivery.floorNs *= scale;
-        cfg.postedIpiDelivery.meanNs *= scale;
+        cfg.postedIpiDelivery = scaled(cfg.postedIpiDelivery, scale);
         cfg.shinjukuTrapCost = static_cast<TimeNs>(
             static_cast<double>(cfg.shinjukuTrapCost) * scale);
 

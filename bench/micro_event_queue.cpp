@@ -9,25 +9,34 @@
  * exists to avoid. This bench pits the current implementation
  * (generation-tagged slot arena + implicit 4-ary heap + inline
  * callback storage) against a frozen copy of the seed implementation
- * (std::function + std::priority_queue + two unordered_sets) on three
+ * (std::function + std::priority_queue + two unordered_sets) on four
  * mixes:
  *
  *   fifo          schedule N ascending-time events, fire them all —
  *                 the pure throughput path.
- *   cancel_heavy  schedule, then cancel ~75% before firing — the
- *                 runtime-shaped mix: nearly every completed request
- *                 segment revokes its pending preemption event.
- *   steady_state  a fixed population of outstanding events; each fire
- *                 schedules a successor — the simulator steady state.
+ *   cancel_heavy  schedule, then cancel ~75% before firing — a
+ *                 cancellation stress test. The simulator itself
+ *                 almost never cancels: the Fig. 8 cells make 2
+ *                 cancels in 2.85 M events.
+ *   steady_state  a large fixed population of outstanding events; each
+ *                 fire schedules a successor.
+ *   sim_shaped    the traffic the simulator serves: 8 live events, no
+ *                 cancels, each fire scheduling its successor, driven
+ *                 through Simulator::runUntil (the legacy side through
+ *                 the seed's runUntil loop) with a small trivially
+ *                 copyable capture, like the models' `[this, id]`.
  *
  * Emits BENCH_eventqueue.json (events/sec per mix per implementation,
- * plus speedups) for later PRs to regress against.
+ * plus speedups, and the host's cpu count) for later PRs to regress
+ * against.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <queue>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -38,6 +47,7 @@
 #include "common/table.hh"
 #include "preemptible/hosttime.hh"
 #include "sim/event_queue.hh"
+#include "sim/simulator.hh"
 
 using namespace preempt;
 
@@ -80,6 +90,13 @@ class LegacyEventQueue
     {
         skipDead();
         return heap_.empty();
+    }
+
+    TimeNs
+    nextTime()
+    {
+        skipDead();
+        return heap_.top().when;
     }
 
     TimeNs
@@ -128,6 +145,36 @@ class LegacyEventQueue
     std::unordered_set<EventId> pending_;
     std::unordered_set<EventId> cancelled_;
     EventId nextSeq_;
+};
+
+/**
+ * The seed Simulator's clock and run loop over the legacy queue:
+ * empty(), then nextTime() twice, then runOne() for every event.
+ */
+class LegacySimulator
+{
+  public:
+    template <typename F>
+    void
+    after(TimeNs delay, F &&fn)
+    {
+        events_.schedule(now_ + delay, std::forward<F>(fn));
+    }
+
+    void
+    runUntil(TimeNs limit)
+    {
+        while (!events_.empty() && events_.nextTime() <= limit) {
+            now_ = events_.nextTime();
+            events_.runOne();
+        }
+        if (now_ < limit && events_.empty())
+            now_ = limit;
+    }
+
+  private:
+    TimeNs now_ = 0;
+    LegacyEventQueue events_;
 };
 
 /** Events/sec over `ops` scheduled events for one mix. */
@@ -220,6 +267,37 @@ runSteadyState(int ops, int population, Rng &rng)
     return static_cast<double>(ops) / nsToSec(t1 - t0);
 }
 
+template <typename S>
+double
+runSimShaped(int ops, Rng &rng)
+{
+    struct State
+    {
+        S sim;
+        Rng *rng;
+        int left;
+        int live;
+        std::uint64_t sink = 0;
+
+        void
+        fire(TimeNs t)
+        {
+            sink += t;
+            if (--left >= live)
+                sim.after(1 + rng->below(1000),
+                          [this](TimeNs at) { fire(at); });
+        }
+    };
+    State st{S{}, &rng, ops, std::min(ops, 8)};
+    TimeNs t0 = runtime::hostNowNs();
+    for (int i = 0; i < st.live; ++i)
+        st.sim.after(1 + rng.below(1000), [&st](TimeNs at) { st.fire(at); });
+    st.sim.runUntil(kTimeNever);
+    TimeNs t1 = runtime::hostNowNs();
+    panic_if(st.left != 0, "sim_shaped fired %d events too few", st.left);
+    return static_cast<double>(ops) / nsToSec(t1 - t0);
+}
+
 } // namespace
 
 int
@@ -233,7 +311,11 @@ main(int argc, char **argv)
     std::string out = cli.getString("out", "BENCH_eventqueue.json");
     cli.rejectUnknown();
 
-    MixResult fifo, cancel, steady;
+    unsigned hostCpus = std::thread::hardware_concurrency();
+    if (hostCpus == 0)
+        hostCpus = 1;
+
+    MixResult fifo, cancel, steady, simShaped;
     // Best-of-reps for each side independently: robust to scheduler
     // noise on a shared machine.
     for (int r = 0; r < reps; ++r) {
@@ -251,6 +333,10 @@ main(int argc, char **argv)
         steady.legacy = std::max(
             steady.legacy,
             runSteadyState<LegacyEventQueue>(ops, population, rng));
+        simShaped.current = std::max(
+            simShaped.current, runSimShaped<sim::Simulator>(ops, rng));
+        simShaped.legacy = std::max(
+            simShaped.legacy, runSimShaped<LegacySimulator>(ops, rng));
     }
 
     ConsoleTable table("EventQueue throughput (million events/sec, "
@@ -266,6 +352,7 @@ main(int argc, char **argv)
     row("fifo", fifo);
     row("cancel_heavy", cancel);
     row("steady_state", steady);
+    row("sim_shaped", simShaped);
     table.print();
 
     FILE *f = std::fopen(out.c_str(), "w");
@@ -276,6 +363,7 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"ops\": %d,\n", ops);
     std::fprintf(f, "  \"population\": %d,\n", population);
     std::fprintf(f, "  \"reps\": %d,\n", reps);
+    std::fprintf(f, "  \"host_cpus\": %u,\n", hostCpus);
     auto mix = [&](const char *name, const MixResult &m, bool last) {
         std::fprintf(f,
                      "  \"%s\": {\"current\": %.0f, \"legacy\": %.0f, "
@@ -285,7 +373,8 @@ main(int argc, char **argv)
     };
     mix("fifo", fifo, false);
     mix("cancel_heavy", cancel, false);
-    mix("steady_state", steady, true);
+    mix("steady_state", steady, false);
+    mix("sim_shaped", simShaped, true);
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("\nwrote %s\n", out.c_str());

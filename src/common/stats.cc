@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -16,7 +17,7 @@ RunningStats::stddev() const
 }
 
 double
-hillTailIndex(const std::vector<double> &samples, double tail_fraction)
+hillTailIndex(std::vector<double> samples, double tail_fraction)
 {
     fatal_if(tail_fraction <= 0 || tail_fraction >= 1,
              "tail_fraction must be in (0,1)");
@@ -26,18 +27,17 @@ hillTailIndex(const std::vector<double> &samples, double tail_fraction)
     if (k < 8)
         return std::numeric_limits<double>::infinity();
 
-    // Select on a copy: callers keep their sample order (the adaptive
-    // driver estimates from a live window it keeps appending to).
-    std::vector<double> sel(samples);
-    auto thresholdIt = sel.begin() + static_cast<long>(n - k - 1);
-    std::nth_element(sel.begin(), thresholdIt, sel.end());
+    // Select in the by-value copy: a caller that passes an lvalue keeps
+    // its sample order, one that moves a vector in pays no copy.
+    auto thresholdIt = samples.begin() + static_cast<long>(n - k - 1);
+    std::nth_element(samples.begin(), thresholdIt, samples.end());
     // x_(n-k) is the threshold order statistic.
     double xk = *thresholdIt;
     if (xk <= 0)
         return std::numeric_limits<double>::infinity();
     double sum = 0;
     std::size_t summed = 0;
-    for (auto it = thresholdIt + 1; it != sel.end(); ++it) {
+    for (auto it = thresholdIt + 1; it != samples.end(); ++it) {
         if (!(*it > 0) || !std::isfinite(*it))
             continue;
         sum += std::log(*it / xk);
@@ -145,7 +145,7 @@ RequestStatsWindow::tailIndex() const
     service.reserve(records_.size());
     for (const auto &r : records_)
         service.push_back(static_cast<double>(r.service));
-    return hillTailIndex(service);
+    return hillTailIndex(std::move(service));
 }
 
 } // namespace preempt

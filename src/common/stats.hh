@@ -63,14 +63,15 @@ class RunningStats
  * divides by that count — never by the nominal k — so degenerate
  * samples (zeros, ties at the threshold) cannot bias alpha low.
  *
- * @param samples observation values, any order; left untouched (the
- *        selection works on an internal copy).
+ * @param samples observation values, any order. Taken by value: the
+ *        selection reorders this copy, so pass an lvalue to keep yours
+ *        or move a vector in to skip the copy.
  * @param tail_fraction fraction of the largest samples to use.
  * @return estimated alpha, or +inf when there is too little usable
  *         data (fewer than 8 tail samples, or a non-positive
  *         threshold).
  */
-double hillTailIndex(const std::vector<double> &samples,
+double hillTailIndex(std::vector<double> samples,
                      double tail_fraction = 0.05);
 
 /**

@@ -1,6 +1,7 @@
 #include "preemptible/adaptive_driver.hh"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -74,7 +75,7 @@ AdaptiveQuantumDriver::step()
     {
         std::lock_guard<std::mutex> lock(samplesMutex_);
         std::vector<double> copy(samples_.begin(), samples_.end());
-        in.tailIndex = hillTailIndex(copy);
+        in.tailIndex = hillTailIndex(std::move(copy));
     }
 
     TimeNs q = controller_.step(in);

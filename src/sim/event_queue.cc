@@ -83,22 +83,24 @@ EventQueue::EventQueue() : scheduled_(0), live_(0)
 {
 }
 
-EventId
-EventQueue::scheduleErased(TimeNs when, EventCallback cb)
+std::uint32_t
+EventQueue::takeSlot()
 {
-    std::uint32_t index;
     if (!freeSlots_.empty()) {
-        index = freeSlots_.back();
+        std::uint32_t index = freeSlots_.back();
         freeSlots_.pop_back();
-    } else {
-        panic_if(slots_.size() >= 0xffffffffull,
-                 "event slot arena exhausted");
-        index = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
+        return index;
     }
+    panic_if(slots_.size() >= 0xffffffffull, "event slot arena exhausted");
+    slots_.emplace_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+EventId
+EventQueue::arm(std::uint32_t index, TimeNs when)
+{
     Slot &slot = slots_[index];
     slot.armed = true;
-    slot.fn = std::move(cb);
     ++scheduled_;
     ++live_;
     EventId id = makeId(index, slot.gen);
@@ -168,22 +170,35 @@ EventQueue::nextTime() const
     return heap_.empty() ? kTimeNever : heap_.front().when;
 }
 
-TimeNs
-EventQueue::runOne()
+bool
+EventQueue::popDue(TimeNs limit, TimeNs &when, EventCallback &fn)
 {
     skipDead();
-    panic_if(heap_.empty(), "runOne() on an empty event queue");
+    if (heap_.empty() || heap_.front().when > limit)
+        return false;
     HeapEntry top = heap_.front();
     popTop(heap_);
 
     std::uint64_t index = idIndex(top.id);
-    // Free the slot before invoking so the callback can schedule new
-    // events (possibly reusing this slot) and so cancelling the firing
-    // event from inside its own callback is the documented no-op.
-    EventCallback fn = std::move(slots_[index].fn);
+    // Free the slot before the caller invokes the callback so the
+    // callback can schedule new events (possibly reusing this slot)
+    // and so cancelling the firing event from inside its own callback
+    // is the documented no-op.
+    fn = std::move(slots_[index].fn);
     freeSlot(index);
-    fn(top.when);
-    return top.when;
+    when = top.when;
+    return true;
+}
+
+TimeNs
+EventQueue::runOne()
+{
+    TimeNs when = 0;
+    EventCallback fn;
+    if (!popDue(kTimeNever, when, fn))
+        panic("runOne() on an empty event queue");
+    fn(when);
+    return when;
 }
 
 } // namespace preempt::sim

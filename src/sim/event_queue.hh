@@ -63,9 +63,43 @@ class EventCallback
                   !std::is_same_v<std::decay_t<F>, EventCallback>>>
     EventCallback(F &&f) : ops_(nullptr) // NOLINT: implicit by design
     {
+        emplace(std::forward<F>(f));
+    }
+
+    EventCallback(EventCallback &&other) noexcept : ops_(nullptr)
+    {
+        takeFrom(other);
+    }
+
+    EventCallback &
+    operator=(EventCallback &&other) noexcept
+    {
+        if (this != &other) {
+            reset();
+            takeFrom(other);
+        }
+        return *this;
+    }
+
+    EventCallback(const EventCallback &) = delete;
+    EventCallback &operator=(const EventCallback &) = delete;
+
+    ~EventCallback() { reset(); }
+
+    /**
+     * Replace the held callable with one constructed from `f` right
+     * here, with no intermediate relocation. A null std::function or
+     * function pointer leaves the callback empty, so the queue can
+     * reject it (matches the old std::function check).
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
         using D = std::decay_t<F>;
-        // Null std::function / function pointer stays empty so the
-        // queue can reject it (matches the old std::function check).
+        static_assert(!std::is_same_v<D, EventCallback>,
+                      "move-assign an EventCallback instead");
+        reset();
         if constexpr (std::is_constructible_v<bool, const D &>) {
             if (!static_cast<bool>(f))
                 return;
@@ -80,39 +114,13 @@ class EventCallback
         }
     }
 
-    EventCallback(EventCallback &&other) noexcept : ops_(other.ops_)
-    {
-        if (ops_) {
-            ops_->relocate(other.buf_, buf_);
-            other.ops_ = nullptr;
-        }
-    }
-
-    EventCallback &
-    operator=(EventCallback &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            ops_ = other.ops_;
-            if (ops_) {
-                ops_->relocate(other.buf_, buf_);
-                other.ops_ = nullptr;
-            }
-        }
-        return *this;
-    }
-
-    EventCallback(const EventCallback &) = delete;
-    EventCallback &operator=(const EventCallback &) = delete;
-
-    ~EventCallback() { reset(); }
-
     /** Destroy the held callable (if any). */
     void
     reset() noexcept
     {
         if (ops_) {
-            ops_->destroy(buf_);
+            if (ops_->destroy)
+                ops_->destroy(buf_);
             ops_ = nullptr;
         }
     }
@@ -122,6 +130,13 @@ class EventCallback
     void operator()(TimeNs t) { ops_->invoke(buf_, t); }
 
   private:
+    /**
+     * Per-type operations. `relocate` and `destroy` are null for an
+     * inline callable that is trivially copyable and trivially
+     * destructible (every hot-path model lambda: `[this, id]`,
+     * `[this, &req]`, ...): moving it is a memcpy of the buffer and
+     * destroying it is nothing.
+     */
     struct Ops
     {
         void (*invoke)(void *, TimeNs);
@@ -137,6 +152,14 @@ class EventCallback
         return sizeof(D) <= kInlineSize &&
                alignof(D) <= alignof(std::max_align_t) &&
                std::is_nothrow_move_constructible_v<D>;
+    }
+
+    template <typename D>
+    static constexpr bool
+    triviallyRelocatable()
+    {
+        return std::is_trivially_copyable_v<D> &&
+               std::is_trivially_destructible_v<D>;
     }
 
     template <typename D> struct InlineOps
@@ -155,7 +178,9 @@ class EventCallback
             s->~D();
         }
         static void destroy(void *buf) noexcept { get(buf)->~D(); }
-        static constexpr Ops ops = {&invoke, &relocate, &destroy};
+        static constexpr bool kTrivial = triviallyRelocatable<D>();
+        static constexpr Ops ops = {&invoke, kTrivial ? nullptr : &relocate,
+                                    kTrivial ? nullptr : &destroy};
     };
 
     template <typename D> struct HeapOps
@@ -176,6 +201,20 @@ class EventCallback
         static void destroy(void *buf) noexcept { delete get(buf); }
         static constexpr Ops ops = {&invoke, &relocate, &destroy};
     };
+
+    /** Move other's callable into this (empty) callback. */
+    void
+    takeFrom(EventCallback &other) noexcept
+    {
+        ops_ = other.ops_;
+        if (ops_) {
+            if (ops_->relocate)
+                ops_->relocate(other.buf_, buf_);
+            else
+                std::memcpy(buf_, other.buf_, kInlineSize);
+            other.ops_ = nullptr;
+        }
+    }
 
     alignas(std::max_align_t) unsigned char buf_[kInlineSize];
     const Ops *ops_;
@@ -202,9 +241,21 @@ class EventQueue
     EventId
     schedule(TimeNs when, F &&fn)
     {
-        EventCallback cb(std::forward<F>(fn));
-        panic_if(!cb, "scheduling an empty callback");
-        return scheduleErased(when, std::move(cb));
+        // Construct the callable straight into its slot; the slot goes
+        // back to the free list if that throws or yields nothing.
+        std::uint32_t index = takeSlot();
+        EventCallback &cb = slots_[index].fn;
+        try {
+            cb.emplace(std::forward<F>(fn));
+        } catch (...) {
+            freeSlots_.push_back(index);
+            throw;
+        }
+        if (!cb) {
+            freeSlots_.push_back(index);
+            panic("scheduling an empty callback");
+        }
+        return arm(index, when);
     }
 
     /**
@@ -222,6 +273,17 @@ class EventQueue
 
     /** Time of the earliest live event (kTimeNever when empty). */
     TimeNs nextTime() const;
+
+    /**
+     * Pop the earliest live event if it is due at or before `limit`:
+     * its slot is freed (so cancelling it from inside its own callback
+     * is a no-op) and its callback moved into `fn`, which the caller
+     * invokes with `when`. One call per event: the simulator's loop.
+     *
+     * @return false, leaving `when` and `fn` untouched, when no live
+     *         event is due by `limit`.
+     */
+    bool popDue(TimeNs limit, TimeNs &when, EventCallback &fn);
 
     /**
      * Pop and run the earliest event.
@@ -273,7 +335,11 @@ class EventQueue
         return static_cast<std::uint32_t>(id);
     }
 
-    EventId scheduleErased(TimeNs when, EventCallback cb);
+    /** An unarmed slot index, from the free list or a new slot. */
+    std::uint32_t takeSlot();
+
+    /** Arm a filled slot and push its heap record. */
+    EventId arm(std::uint32_t index, TimeNs when);
 
     /** Mark a slot dead: bump its generation and recycle the index. */
     void freeSlot(std::uint64_t index);

@@ -44,14 +44,26 @@ Simulator::periodicStep(const std::shared_ptr<Periodic> &p, TimeNs t)
 }
 
 void
-Simulator::runUntil(TimeNs limit)
+Simulator::drain(TimeNs limit)
 {
     stopped_ = false;
-    while (!stopped_ && !events_.empty() && events_.nextTime() <= limit) {
-        now_ = events_.nextTime();
-        events_.runOne();
+    TimeNs when = 0;
+    EventCallback fn;
+    while (!stopped_ && events_.popDue(limit, when, fn)) {
+        now_ = when;
+        fn(when);
+        // Destroy the callback and its captures before the next pop,
+        // as runOne() does, so every()'s shared_ptr<Periodic> captures
+        // die in the same order as under one call per event.
+        fn.reset();
         ++eventsRun_;
     }
+}
+
+void
+Simulator::runUntil(TimeNs limit)
+{
+    drain(limit);
     if (now_ < limit && events_.empty())
         now_ = limit;
 }
@@ -59,12 +71,7 @@ Simulator::runUntil(TimeNs limit)
 void
 Simulator::runAll()
 {
-    stopped_ = false;
-    while (!stopped_ && !events_.empty()) {
-        now_ = events_.nextTime();
-        events_.runOne();
-        ++eventsRun_;
-    }
+    drain(kTimeNever);
 }
 
 } // namespace preempt::sim

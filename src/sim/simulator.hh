@@ -82,6 +82,9 @@ class Simulator
 
     void periodicStep(const std::shared_ptr<Periodic> &p, TimeNs t);
 
+    /** Fire events due by `limit`, one pop each, until stop(). */
+    void drain(TimeNs limit);
+
     TimeNs now_;
     EventQueue events_;
     Rng rng_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -164,6 +167,120 @@ TEST(EventQueue, RunOneReturnsFireTime)
     EXPECT_EQ(q.runOne(), 42u);
 }
 
+// DESIGN.md section 7: the firing event's slot is freed before its
+// callback runs, so cancelling it from inside that callback is a no-op
+// and cannot hit the event that reuses the slot.
+TEST(EventQueue, CancellingTheFiringEventFromItsCallbackIsNoop)
+{
+    EventQueue q;
+    EventId self = kInvalidEvent;
+    EventId successor = kInvalidEvent;
+    bool cancelled = true;
+    bool successorFired = false;
+    self = q.schedule(10, [&](TimeNs) {
+        // Reuses the slot `self` just vacated.
+        successor = q.schedule(15, [&](TimeNs) { successorFired = true; });
+        cancelled = q.cancel(self);
+    });
+    q.runOne();
+    EXPECT_FALSE(cancelled);
+    EXPECT_NE(successor, self);
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.runOne(), 15u);
+    EXPECT_TRUE(successorFired);
+
+    // The simulator's loop pops differently; the rule is the same.
+    Simulator sim(1);
+    EventId tick = sim.after(5, [&](TimeNs) {
+        cancelled = sim.events().cancel(tick);
+    });
+    cancelled = true;
+    sim.runAll();
+    EXPECT_FALSE(cancelled);
+    EXPECT_EQ(sim.eventsRun(), 1u);
+}
+
+// A capture is destroyed exactly once, whether its event fires, is
+// cancelled, or is still pending when the queue goes away; moving a
+// callback through the arena never copies it.
+TEST(EventQueue, SharedPtrCaptureDestroyedExactlyOnce)
+{
+    struct Padded
+    {
+        std::shared_ptr<int> token;
+        unsigned char pad[2 * EventCallback::kInlineSize];
+    };
+    auto token = std::make_shared<int>(0);
+    long seenWhileFiring = 0;
+    {
+        EventQueue q;
+        q.schedule(1, [token, &seenWhileFiring](TimeNs) {
+            seenWhileFiring = token.use_count();
+        });
+        EventId cancelled = q.schedule(2, [token](TimeNs) {});
+        // Heap-backed: too big for the inline buffer.
+        Padded big{token, {}};
+        q.schedule(3, [big](TimeNs) {});
+        big.token.reset();
+        q.schedule(4, [token](TimeNs) {});
+        // Grow the arena so every pending slot is relocated.
+        std::vector<EventId> filler;
+        for (int i = 0; i < 1000; ++i)
+            filler.push_back(q.schedule(100, [](TimeNs) {}));
+        for (EventId id : filler)
+            q.cancel(id);
+        EXPECT_EQ(token.use_count(), 5);
+
+        q.runOne();
+        EXPECT_EQ(seenWhileFiring, 5) << "firing must move, not copy";
+        EXPECT_EQ(token.use_count(), 4) << "fired capture not destroyed";
+        EXPECT_TRUE(q.cancel(cancelled));
+        EXPECT_EQ(token.use_count(), 3) << "cancelled capture survived";
+        q.runOne(); // the heap-backed one
+        EXPECT_EQ(token.use_count(), 2);
+    }
+    EXPECT_EQ(token.use_count(), 1) << "pending capture leaked";
+
+    Simulator sim(1);
+    sim.after(1, [token](TimeNs) {});
+    sim.after(2, [token](TimeNs) {});
+    sim.runUntil(1);
+    EXPECT_EQ(token.use_count(), 2);
+    sim.runAll();
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+// The firing callback is out of the arena while it runs, so it can
+// schedule enough events to reallocate the slot vector and still read
+// its own captures; everything it scheduled fires in (when, seq) order.
+TEST(EventQueue, ArenaGrowthDuringFireKeepsOrder)
+{
+    constexpr int kBurst = 10000;
+    Simulator sim(1);
+    std::vector<std::pair<TimeNs, int>> fired;
+    std::vector<std::pair<TimeNs, int>> expected;
+    auto owner = std::make_shared<int>(kBurst);
+    sim.after(1, [&sim, &fired, &expected, owner](TimeNs) {
+        for (int i = 0; i < *owner; ++i) {
+            // 97 distinct times, so most events tie with others.
+            TimeNs when = 2 + static_cast<TimeNs>((i * 7919) % 97);
+            expected.emplace_back(when, i);
+            sim.events().schedule(when, [&fired, i](TimeNs t) {
+                fired.emplace_back(t, i);
+            });
+        }
+    });
+    sim.runAll();
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    ASSERT_EQ(fired.size(), static_cast<std::size_t>(kBurst));
+    EXPECT_EQ(fired, expected);
+    EXPECT_EQ(sim.eventsRun(), static_cast<std::uint64_t>(kBurst) + 1);
+    EXPECT_EQ(owner.use_count(), 1);
+}
+
 TEST(EventQueueDeath, RunOneOnEmptyPanics)
 {
     EventQueue q;
@@ -198,6 +315,65 @@ TEST(Simulator, RunUntilAdvancesClockWhenDrained)
     Simulator sim(1);
     sim.runUntil(500);
     EXPECT_EQ(sim.now(), 500u);
+}
+
+// Clock rules of runUntil: an event at the limit fires; with events
+// left beyond the limit the clock stays at the last event fired; once
+// the queue drains it jumps to the limit; it never moves backward, and
+// a cancelled event never moves it.
+TEST(Simulator, RunUntilClockSemantics)
+{
+    Simulator sim(1);
+    std::vector<TimeNs> times;
+    auto note = [&](TimeNs t) { times.push_back(t); };
+    sim.after(10, note);
+    sim.after(100, note);
+    sim.after(1000, note);
+    sim.runUntil(100);
+    EXPECT_EQ(times, (std::vector<TimeNs>{10, 100}));
+    EXPECT_EQ(sim.now(), 100u);
+    sim.runUntil(500);
+    EXPECT_EQ(sim.now(), 100u) << "events remain: clock stays put";
+    sim.runUntil(2000);
+    EXPECT_EQ(sim.now(), 2000u) << "drained: clock jumps to the limit";
+    sim.runUntil(1500);
+    EXPECT_EQ(sim.now(), 2000u) << "clock moved backward";
+
+    EventId dead = sim.after(10, note);
+    sim.after(50, note);
+    sim.events().cancel(dead);
+    sim.runUntil(2030);
+    EXPECT_EQ(sim.now(), 2000u) << "a cancelled event moved the clock";
+    EXPECT_EQ(sim.eventsRun(), 3u);
+    sim.runUntil(2050);
+    EXPECT_EQ(sim.now(), 2050u);
+    EXPECT_EQ(sim.eventsRun(), 4u);
+
+    // stop() ends the run at the stopping event, even with the limit
+    // far ahead and more events due.
+    sim.after(10, [&](TimeNs) { sim.stop(); });
+    sim.after(20, note);
+    sim.runUntil(10000);
+    EXPECT_EQ(sim.now(), 2060u);
+    sim.runUntil(10000);
+    EXPECT_EQ(sim.now(), 10000u);
+}
+
+// runAll leaves the clock at the last event fired and never moves it
+// on an empty queue.
+TEST(Simulator, RunAllClockSemantics)
+{
+    Simulator sim(1);
+    sim.runAll();
+    EXPECT_EQ(sim.now(), 0u);
+    EventId dead = sim.after(500, [](TimeNs) {});
+    sim.after(70, [](TimeNs) {});
+    sim.events().cancel(dead);
+    sim.runAll();
+    EXPECT_EQ(sim.now(), 70u);
+    EXPECT_EQ(sim.eventsRun(), 1u);
+    sim.runAll();
+    EXPECT_EQ(sim.now(), 70u);
 }
 
 TEST(Simulator, EventsCanScheduleEvents)

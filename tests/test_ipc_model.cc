@@ -27,7 +27,7 @@ TEST(IpcPingPong, StatsMatchCalibration)
     IpcBenchResult r = runIpcPingPong(uintr, 200000, 1);
     // avg = floor + jitter mean (Table IV: 0.734 us), min >= floor.
     EXPECT_NEAR(r.avgUs, cfg.uintrRunning.expectedNs() / 1e3, 0.03);
-    EXPECT_GE(r.minUs, cfg.uintrRunning.floorNs / 1e3 - 1e-9);
+    EXPECT_GE(r.minUs, cfg.uintrRunning.floorNs() / 1e3 - 1e-9);
     EXPECT_GT(r.rateMsgPerSec, 0.0);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "hw/jitter.hh"
@@ -44,6 +46,54 @@ TEST(Jitter, ZeroMeanIsDeterministic)
     EXPECT_EQ(spec.sample(rng), 123u);
 }
 
+// JitterSpec::sample as it was before its log-normal moments were
+// precomputed at construction: everything recomputed on every draw.
+TimeNs
+referenceSample(double floorNs, double meanNs, double stdNs, Rng &rng)
+{
+    if (meanNs <= 0)
+        return static_cast<TimeNs>(floorNs);
+    double m = meanNs;
+    double s = stdNs > 0 ? stdNs : meanNs * 0.25;
+    double sigma2 = std::log(1.0 + (s * s) / (m * m));
+    double mu = std::log(m) - 0.5 * sigma2;
+    double sigma = std::sqrt(sigma2);
+    double u1 = 1.0 - rng.uniform();
+    double u2 = rng.uniform();
+    double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+    double v = floorNs + std::exp(mu + sigma * z);
+    return v <= 0 ? 0 : static_cast<TimeNs>(v + 0.5);
+}
+
+TEST(Jitter, PrecomputedMomentsMatchPerDrawFormula)
+{
+    LatencyConfig cfg = LatencyConfig::paperCalibrated();
+    const std::vector<std::pair<const char *, JitterSpec>> specs = {
+        {"uintrRunning", cfg.uintrRunning},
+        {"uintrBlocked", cfg.uintrBlocked},
+        {"signalDelivery", cfg.signalDelivery},
+        {"mqDelivery", cfg.mqDelivery},
+        {"pipeDelivery", cfg.pipeDelivery},
+        {"eventfdDelivery", cfg.eventfdDelivery},
+        {"kernelTimerJitter", cfg.kernelTimerJitter},
+        {"postedIpiDelivery", cfg.postedIpiDelivery},
+        {"stdZero", JitterSpec{1000, 500, 0}},
+        {"meanZero", JitterSpec{123, 0, 0}},
+        {"meanNegative", JitterSpec{250, -40, 10}},
+        {"default", JitterSpec{}},
+    };
+    for (const auto &[name, spec] : specs) {
+        Rng a(11), b(11);
+        for (int i = 0; i < 10000; ++i) {
+            ASSERT_EQ(spec.sample(a),
+                      referenceSample(spec.floorNs(), spec.meanNs(),
+                                      spec.stdNs(), b))
+                << name << " draw " << i;
+        }
+        EXPECT_EQ(a.uniform(), b.uniform()) << name << ": streams diverged";
+    }
+}
+
 TEST(SignalPath, DeliversThroughKernelPath)
 {
     sim::Simulator sim(1);
@@ -52,7 +102,7 @@ TEST(SignalPath, DeliversThroughKernelPath)
     TimeNs entry = 0;
     path.sendSignal([&](TimeNs t, TimeNs) { entry = t; });
     sim.runAll();
-    EXPECT_GE(entry, cfg.signalDelivery.floorNs);
+    EXPECT_GE(entry, cfg.signalDelivery.floorNs());
     EXPECT_EQ(path.delivered(), 1u);
 }
 

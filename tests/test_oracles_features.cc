@@ -217,7 +217,7 @@ TEST(PostedIpi, DeliversWithTrapDelay)
     EXPECT_EQ(cost, cfg.postedIpiSend);
     sim.runAll();
     EXPECT_GE(delivered_at,
-              cfg.postedIpiDelivery.floorNs + cfg.shinjukuTrapCost);
+              cfg.postedIpiDelivery.floorNs() + cfg.shinjukuTrapCost);
     EXPECT_EQ(apic.stats().delivered, 1u);
 }
 

@@ -42,7 +42,7 @@ TEST_F(UintrFixture, DeliveryToRunningReceiver)
     sim.runAll();
 
     EXPECT_EQ(vectors, 1ULL << 5);
-    EXPECT_GE(delivered_at, cfg.uintrRunning.floorNs);
+    EXPECT_GE(delivered_at, cfg.uintrRunning.floorNs());
     EXPECT_EQ(unit.stats().deliveredRunning, 1u);
     EXPECT_EQ(unit.pending(rx), 0u);
     // UIF cleared during the handler until uiret.
@@ -95,7 +95,7 @@ TEST_F(UintrFixture, BlockedReceiverWokenThroughKernel)
     EXPECT_TRUE(unit.running(rx));
     EXPECT_EQ(unit.stats().deliveredBlocked, 1u);
     // The blocked path costs more than the running path's floor.
-    EXPECT_GE(delivered_at, cfg.uintrBlocked.floorNs);
+    EXPECT_GE(delivered_at, cfg.uintrBlocked.floorNs());
 }
 
 TEST_F(UintrFixture, DescheduledReceiverKeepsPending)
